@@ -18,6 +18,7 @@ from .circuit import (
 )
 from .sim import (
     EXHAUSTIVE_WIRE_CAP,
+    RANDOM_INPUT_BIT_CAP,
     VerifyReport,
     apply_gate,
     run,

@@ -24,10 +24,21 @@ COMBINED_ANCILLA_FACTOR = 3
 
 
 def log_star(x: float) -> int:
-    """Iterated base-2 logarithm: least j with log2 applied j times <= 1."""
+    """Iterated base-2 logarithm: least j with log2 applied j times <= 1.
+
+    Ints of any size are handled exactly, without floats: log2 applied j
+    times to x is <= 1 iff x is at most the tower 2**2**...**2 of j twos,
+    and an int x >= 1 is <= 2**t iff ``(x - 1).bit_length() <= t``.  So for
+    an int x >= 2, ``log_star(x) == 1 + log_star((x - 1).bit_length())``.
+    """
     if x <= 0:
         raise ValueError(f"log_star needs positive input, got {x}")
     j = 0
+    if isinstance(x, int):
+        while x > 1:
+            x = (x - 1).bit_length()
+            j += 1
+        return j
     v = float(x)
     while v > 1.0:
         v = math.log2(v)

@@ -59,7 +59,7 @@ def _gate_from_tokens(kind: GateKind, ids: list[int]) -> Gate:
 def _int_tokens(tokens: list[str], lineno: int, line: str) -> list[int]:
     out = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise NetlistError(lineno, line.index(tok) + 1, f"expected wire id, got {tok!r}")
         out.append(int(tok))
     return out
@@ -117,6 +117,8 @@ def parse_netlist(text: str) -> Circuit:
             bad = [w for w in ancilla if w >= wire_count]
             if bad:
                 raise NetlistError(lineno, 1, f"ancilla wire {bad[0]} out of range")
+            if len(set(ancilla)) != len(ancilla):
+                raise NetlistError(lineno, 1, "duplicate ancilla wire id")
             continue
 
         if head not in _OPCODES:

@@ -12,6 +12,8 @@ list simulates every case at once.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,10 +31,18 @@ PackedOracle = Callable[[list[int], int], list[int]]
 #: Hard cap on exhaustive enumeration (2**24 cases).
 EXHAUSTIVE_WIRE_CAP = 24
 
+#: Hard cap on seeded inputs: ``trials * len(free wires)`` bits (2**30 bits,
+#: 128 MiB of input columns).
+RANDOM_INPUT_BIT_CAP = 1 << 30
+
 #: At most this many failing cases are recorded in a report.
 MAX_RECORDED_FAILURES = 32
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+#: Stream bits transposed per chunk by ``_random_columns``.
+_CHUNK_BITS = 1 << 19
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -43,7 +53,7 @@ def splitmix64(seed: int) -> Iterator[int]:
     """
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -188,26 +198,67 @@ def _enumeration_columns(circuit: Circuit, free: Sequence[int]) -> list[int]:
     return cols
 
 
+def _splitmix64_block(seed: int, start: int, count: int) -> bytes:
+    """Words ``start .. start+count-1`` of ``splitmix64(seed)``, packed as
+    8-byte little-endian words.
+
+    All words are mixed at once: word ``k`` sits in its own 128-bit lane of
+    one int, every shift is masked back to the low 64 bits of each lane and
+    every product of two 64-bit values fits in 128 bits, so no lane ever
+    carries into the next.
+    """
+    ramp = array("Q", bytes(16 * count))
+    ramp[::2] = array("Q", range(start + 1, start + count + 1))
+    if sys.byteorder == "big":
+        ramp.byteswap()
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    lanes = _MASK64 * ones
+    z = int.from_bytes(ramp, "little") * _GAMMA + (seed & _MASK64) * ones
+    z &= lanes
+    z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+    z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
+    z ^= (z >> 31) & lanes
+    # Keep the low 8 bytes of each 16-byte lane; no value is read, so the
+    # native item order of the array does not matter here.
+    packed = array("Q")
+    packed.frombytes(z.to_bytes(16 * count, "little"))
+    return packed[::2].tobytes()
+
+
 def _random_columns(
     circuit: Circuit, free: Sequence[int], trials: int, seed: int
 ) -> list[int]:
     """Seeded input columns: bit ``trial*len(free) + j`` of the splitmix64
     bit stream (words flattened LSB-first) drives free wire ``free[j]`` in
-    that trial."""
+    that trial.
+
+    Trials are transposed in chunks of about ``_CHUNK_BITS`` stream bits
+    (at least 64 trials): each chunk's words are rendered as one binary
+    string, and each wire's column piece is one strided slice of it
+    (MSB-first, so trial order comes out right).  Time is linear in
+    ``trials``.  Each column is built up as bytes and swapped for its int
+    at the end, so apart from the columns the extra memory is one chunk.
+    """
     cols = [0] * circuit.wire_count
-    gen = splitmix64(seed)
-    word = 0
-    have = 0
-    for trial in range(trials):
-        bit_pos = 1 << trial
-        for w in free:
-            if have == 0:
-                word = next(gen)
-                have = 64
-            if word & 1:
-                cols[w] |= bit_pos
-            word >>= 1
-            have -= 1
+    width = len(free)
+    if width == 0:
+        return cols
+    # A multiple of 64 trials keeps every chunk word- and byte-aligned.
+    step = max(64, _CHUNK_BITS // width // 64 * 64)
+    bufs = [bytearray() for _ in free]
+    for first in range(0, trials, step):
+        n = min(step, trials - first)
+        n_words = -(-n * width // 64)
+        words = _splitmix64_block(seed, first * width // 64, n_words)
+        length = 64 * n_words
+        bits = format(int.from_bytes(words, "little"), f"0{length}b")
+        top = length - 1 - (n - 1) * width
+        n_bytes = (n + 7) // 8
+        for j, buf in enumerate(bufs):
+            buf += int(bits[top - j : length - j : width], 2).to_bytes(n_bytes, "little")
+    for w, buf in zip(free, bufs):
+        cols[w] = int.from_bytes(buf, "little")
+        buf.clear()  # free each buffer as its column replaces it
     return cols
 
 
@@ -331,10 +382,19 @@ def verify_random(
 
     Inputs are drawn from the splitmix64 stream over ``seed`` (see
     ``_random_columns`` for the exact bit assignment), so identical seeds
-    give identical trial sequences and byte-identical reports.
+    give identical trial sequences and byte-identical reports.  Generating
+    them takes time linear in ``trials``, and the extra memory beyond the
+    input columns is bounded by one chunk of about 2**19 stream bits (at
+    least 64 trials).  ``trials * len(free wires)`` is capped at
+    ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     free = _resolve_free(circuit, free_wires)
+    if trials * len(free) > RANDOM_INPUT_BIT_CAP:
+        raise ValueError(
+            f"{trials} trials x {len(free)} free wires exceed the seeded input "
+            f"cap of {RANDOM_INPUT_BIT_CAP} bits"
+        )
     cols = _random_columns(circuit, free, trials, seed)
     return _check_columns(circuit, cols, trials, oracle, packed_oracle, seed)

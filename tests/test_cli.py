@@ -136,3 +136,11 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def test_verify_rejects_trials_above_input_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--kind", "ripple", "--n", "16", "--trials", str(10**12)
+    )
+    assert code == 2
+    assert "cap" in err and not out

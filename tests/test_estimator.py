@@ -162,3 +162,29 @@ def test_negative_values_rejected():
 
     with pytest.raises(ValueError):
         CostEstimate("bad", qubits_total=-1, ancilla=0, depth=0, size=0)
+
+
+def _log_star_float(x):
+    """The original float-only loop, kept to pin results on every input
+    it handles."""
+    j = 0
+    v = float(x)
+    while v > 1.0:
+        v = math.log2(v)
+        j += 1
+    return j
+
+
+def test_log_star_int_path_matches_float_loop():
+    xs = list(range(1, 70_000))
+    xs += [(1 << k) + d for k in range(17, 1001) for d in (-1, 0, 1)]
+    for x in xs:
+        assert log_star(x) == _log_star_float(x), x
+        assert log_star_star(x) == log_star_star(float(x)), x
+
+
+def test_log_star_is_exact_on_huge_ints():
+    assert log_star(2**2000) == 5
+    assert log_star_star(2**2000) == 4
+    assert log_star(2**65536) == 5
+    assert log_star(2**65536 + 1) == 6

@@ -119,3 +119,12 @@ def test_role_lines_round_trip():
     c = parse_netlist("qadd 1\nqubits 2\n# role 0 B0\n# role 1 A0\ncx 1 0\n")
     assert c.role_map == {0: "B0", 1: "A0"}
     assert parse_netlist(export_netlist(c)) == c
+
+
+@pytest.mark.parametrize("wire", ["²", "١", "１"])
+def test_parse_rejects_non_ascii_digit_wire_ids(wire):
+    _expect_error(f"qadd 1\nqubits 2\ncx 0 {wire}\n", 3, "expected wire id")
+
+
+def test_parse_rejects_duplicate_ancilla_ids():
+    _expect_error("qadd 1\nqubits 3\nancilla 1 1\n", 3, "duplicate ancilla")

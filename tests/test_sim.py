@@ -1,6 +1,10 @@
 import json
+import struct
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadd import (
     Circuit,
@@ -19,7 +23,13 @@ from qadd import (
     x,
 )
 from qadd.oracles import adder_oracle
-from qadd.sim import _enumeration_columns, _random_columns
+from qadd.sim import (
+    _CHUNK_BITS,
+    RANDOM_INPUT_BIT_CAP,
+    _enumeration_columns,
+    _random_columns,
+    _splitmix64_block,
+)
 
 
 def test_apply_gate_fanout():
@@ -209,3 +219,79 @@ def test_random_columns_are_seed_stable():
     a = _random_columns(c, [0, 1, 2, 3], 64, seed=9)
     b = _random_columns(c, [0, 1, 2, 3], 64, seed=9)
     assert a == b and any(a)
+
+
+def _random_columns_reference(circuit, free, trials, seed):
+    """The original one-bit-at-a-time generator, kept as the reference."""
+    cols = [0] * circuit.wire_count
+    gen = splitmix64(seed)
+    word = 0
+    have = 0
+    for trial in range(trials):
+        bit_pos = 1 << trial
+        for w in free:
+            if have == 0:
+                word = next(gen)
+                have = 64
+            if word & 1:
+                cols[w] |= bit_pos
+            word >>= 1
+            have -= 1
+    return cols
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 2049])
+def test_random_columns_match_reference_at_edge_shapes(width):
+    step = max(64, _CHUNK_BITS // width // 64 * 64)
+    c = Circuit(width)
+    free = list(range(width))
+    seed = 2**64 + width
+    # Seeded columns are prefix-stable, so one long reference run covers
+    # every shorter trial count.
+    ref = _random_columns_reference(c, free, step + 1, seed)
+    for trials in (1, 7, 8, 63, 64, 65, step - 1, step, step + 1):
+        mask = (1 << trials) - 1
+        assert _random_columns(c, free, trials, seed) == [col & mask for col in ref]
+
+
+def test_random_columns_match_reference_on_free_subset_with_ancilla():
+    c = Circuit(40, ancilla={3, 10, 11, 30})
+    free = [0, 2, 5, 7, 12, 20, 39]
+    for trials in (1, 9, 64, 300):
+        got = _random_columns(c, free, trials, seed=17)
+        assert got == _random_columns_reference(c, free, trials, 17)
+        assert all(got[w] == 0 for w in range(40) if w not in free)
+    assert _random_columns(c, [], 5, seed=17) == [0] * 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 300),
+    trials=st.integers(1, 400),
+    seed=st.integers(-(2**65), 2**70),
+)
+def test_random_columns_match_reference_property(data, width, trials, seed):
+    free = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=1)))
+    c = Circuit(width)
+    assert _random_columns(c, free, trials, seed) == _random_columns_reference(
+        c, free, trials, seed
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,start,count",
+    [(0, 0, 1), (0, 5, 40), (7, 1, 3), (2**64, 3, 17), (2**64 + 9, 100, 65), (-3, 2, 8)],
+)
+def test_splitmix64_block_matches_stream(seed, start, count):
+    expected = struct.pack(f"<{count}Q", *islice(splitmix64(seed), start, start + count))
+    assert _splitmix64_block(seed, start, count) == expected
+
+
+def test_verify_random_caps_input_bits():
+    c = Circuit(64)
+    trials = RANDOM_INPUT_BIT_CAP // 64 + 1
+    with pytest.raises(ValueError, match="cap"):
+        verify_random(c, packed_oracle=lambda cols, n: cols, trials=trials)
+    report = verify_random(c, packed_oracle=lambda cols, n: cols, trials=64, seed=1)
+    assert report.ok
