@@ -7,6 +7,7 @@ from .circuit import (
     Gate,
     GateKind,
     TOFFOLI_KINDS,
+    WIRE_CAP,
     build_circuit,
     ccx,
     compute_stats,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ccx, cx, x
+from .circuit import Circuit, Gate, _ccx, _check_wires, _cx, _x
 from .ripple import adder_first_half_gates
 
 
@@ -68,13 +68,14 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
     w = len(conjuncts)
     if w < 2 or len(scratch) != w - 1:
         raise ValueError("need w >= 2 conjuncts and w-1 scratch wires")
-    gates: list[Gate] = [ccx(conjuncts[w - 1], scratch[w - 2], target)]
+    _check_wires(conjuncts, scratch, (target,))
+    gates: list[Gate] = [_ccx(conjuncts[w - 1], scratch[w - 2], target)]
     for j in range(w - 1, 1, -1):
-        gates.append(ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
-    gates.append(cx(conjuncts[0], scratch[0]))
+        gates.append(_ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
+    gates.append(_cx(conjuncts[0], scratch[0]))
     for j in range(2, w):
-        gates.append(ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
-    gates.append(ccx(conjuncts[w - 1], scratch[w - 2], target))
+        gates.append(_ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
+    gates.append(_ccx(conjuncts[w - 1], scratch[w - 2], target))
     return gates
 
 
@@ -90,8 +91,9 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
     w = len(b)
     if w < 2 or len(a) != w:
         raise ValueError("block width must be >= 2 with equal registers")
+    _check_wires(b, a, (g, p))
     gates = adder_first_half_gates(b, a, g)
-    gates.append(cx(a[0], b[0]))
+    gates.append(_cx(a[0], b[0]))
     gates += prefix_and_ladder_gates(conjuncts=b, scratch=a[1:], target=p)
     return gates
 
@@ -107,20 +109,21 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
     w = len(b)
     if w < 1 or len(a) != w:
         raise ValueError("block width must be >= 1 with equal registers")
+    _check_wires(b, a, () if carry is None else (carry,))
     gates: list[Gate] = []
-    gates += [cx(a[i], b[i]) for i in range(w)]
-    gates += [cx(a[i], a[i + 1]) for i in range(w - 2, -1, -1)]
+    gates += [_cx(a[i], b[i]) for i in range(w)]
+    gates += [_cx(a[i], a[i + 1]) for i in range(w - 2, -1, -1)]
     if carry is not None:
-        gates.append(cx(carry, a[0]))
-    gates += [ccx(b[i], a[i], a[i + 1]) for i in range(w - 1)]
+        gates.append(_cx(carry, a[0]))
+    gates += [_ccx(b[i], a[i], a[i + 1]) for i in range(w - 1)]
     for i in range(w - 1, 0, -1):
-        gates.append(cx(a[i], b[i]))
-        gates.append(ccx(b[i - 1], a[i - 1], a[i]))
+        gates.append(_cx(a[i], b[i]))
+        gates.append(_ccx(b[i - 1], a[i - 1], a[i]))
     if carry is not None:
-        gates.append(cx(carry, a[0]))
-        gates.append(cx(carry, b[0]))
-    gates += [cx(a[i], a[i + 1]) for i in range(w - 1)]
-    gates += [cx(a[i], b[i]) for i in range(1, w)]
+        gates.append(_cx(carry, a[0]))
+        gates.append(_cx(carry, b[0]))
+    gates += [_cx(a[i], a[i + 1]) for i in range(w - 1)]
+    gates += [_cx(a[i], b[i]) for i in range(1, w)]
     return gates
 
 
@@ -146,6 +149,8 @@ def carry_gates(
     if len(p_wires) != m:
         raise ValueError("need m propagate slots (index 0 unused)")
     levels = m.bit_length() - 1
+    scratch_count = sum((m >> t) - 1 for t in range(1, levels))
+    _check_wires(g_wires, p_wires[1:], range(first_scratch, first_scratch + scratch_count))
     p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
     scratch: list[int] = []
     gates: list[Gate] = []
@@ -160,7 +165,7 @@ def carry_gates(
             for i in range(1, blocks_t):
                 w = first_scratch + len(scratch)
                 scratch.append(w)
-                gate = ccx(prev[2 * i], prev[2 * i + 1], w)
+                gate = _ccx(prev[2 * i], prev[2 * i + 1], w)
                 gates.append(gate)
                 compute_order.append(gate)
                 cur[i] = w
@@ -169,7 +174,7 @@ def carry_gates(
         half = step >> 1
         for i in range(blocks_t):
             gates.append(
-                ccx(g_wires[i * step + half - 1], prev[2 * i + 1], g_wires[(i + 1) * step - 1])
+                _ccx(g_wires[i * step + half - 1], prev[2 * i + 1], g_wires[(i + 1) * step - 1])
             )
 
     # downward distribution: finalize prefixes at odd multiples of 2**s
@@ -178,7 +183,7 @@ def carry_gates(
         q = 3
         while q * step <= m:
             gates.append(
-                ccx(g_wires[(q - 1) * step - 1], p_lvl[s][q - 1], g_wires[q * step - 1])
+                _ccx(g_wires[(q - 1) * step - 1], p_lvl[s][q - 1], g_wires[q * step - 1])
             )
             q += 2
 
@@ -294,19 +299,19 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 
     # step 3: undo step 1 except on the carry slots, which keep their value
     carry_slots = set(g_slots)
-    step3 = [g for g in reversed(step1) if not carry_slots & set(g.operands)]
+    step3 = [g for g in reversed(step1) if carry_slots.isdisjoint(g.operands)]
 
     step4 = sum_gates(bb(0), ba(0), None)
     for j in range(m - 1):
         step4 += sum_gates(bb(j + 1), ba(j + 1), g_slots[j])
 
-    step5 = [x(b[i]) for i in range(n - k)]
+    step5 = [_x(b[i]) for i in range(n - k)]
 
     # step 6: reverse of steps 1-3 except on the top block's registers; the
     # complemented sum regenerates the same carries, which zeroes the slots
     top = set(bb(m - 1) + ba(m - 1))
     first_half = step1 + carry + step3
-    step6 = [g for g in reversed(first_half) if not top & set(g.operands)]
+    step6 = [g for g in reversed(first_half) if top.isdisjoint(g.operands)]
 
     step7 = list(step5)
     return [

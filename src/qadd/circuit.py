@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -29,6 +30,11 @@ class GateKind(Enum):
     GEN_TOFFOLI = "tg"
 
 
+#: Largest wire count a ``Circuit`` accepts (2**22).  Statistics, layouts and
+#: simulation allocate per-wire state, so a hostile netlist or CLI flag is
+#: refused here instead of allocating it.
+WIRE_CAP = 1 << 22
+
 #: Gate kinds that count toward the Toffoli-weighted depth.
 TOFFOLI_KINDS = frozenset((GateKind.TOFFOLI, GateKind.GEN_TOFFOLI))
 
@@ -42,40 +48,93 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One elementary gate.
+class Gate(tuple):
+    """One elementary gate: an immutable ``(kind, controls, targets)`` record.
 
     ``controls`` holds the control wires; for FANOUT it holds the single
     source wire.  ``targets`` is exactly one wire for every kind except
     FANOUT, where it lists the t >= 1 fan-out targets (t is the gate's
     "length").  All operand wires of one gate must be pairwise distinct.
+
+    ``Gate(...)``, the ``x``/``cx``/``ccx``/``fo``/``tg`` helpers and
+    unpickling validate the kind, the arity and the wires.  A gate is a
+    tuple, so readers can unpack it as ``kind, controls, targets``, and it
+    hashes and compares like the plain tuple of its three fields.
     """
 
-    kind: GateKind
-    controls: tuple[int, ...]
-    targets: tuple[int, ...]
+    __slots__ = ()
+    __match_args__ = ("kind", "controls", "targets")
 
-    def __post_init__(self) -> None:
-        lo_c, hi_c, lo_t, hi_t = _ARITY[self.kind]
-        if len(self.controls) < lo_c or (hi_c is not None and len(self.controls) > hi_c):
-            raise ValueError(f"{self.kind.value}: bad control count {len(self.controls)}")
-        if len(self.targets) < lo_t or (hi_t is not None and len(self.targets) > hi_t):
-            raise ValueError(f"{self.kind.value}: bad target count {len(self.targets)}")
-        ops = self.operands
+    def __new__(cls, kind: GateKind, controls: Iterable[int], targets: Iterable[int]) -> "Gate":
+        controls = tuple(controls)
+        targets = tuple(targets)
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        lo_c, hi_c, lo_t, hi_t = arity
+        if len(controls) < lo_c or (hi_c is not None and len(controls) > hi_c):
+            raise ValueError(f"{kind.value}: bad control count {len(controls)}")
+        if len(targets) < lo_t or (hi_t is not None and len(targets) > hi_t):
+            raise ValueError(f"{kind.value}: bad target count {len(targets)}")
+        ops = controls + targets
         if any(w < 0 for w in ops):
-            raise ValueError(f"{self.kind.value}: negative wire id in {ops}")
+            raise ValueError(f"{kind.value}: negative wire id in {ops}")
         if len(set(ops)) != len(ops):
-            raise ValueError(f"{self.kind.value}: duplicate operand wire in {ops}")
+            raise ValueError(f"{kind.value}: duplicate operand wire in {ops}")
+        return _new(cls, (kind, controls, targets))
+
+    kind = property(itemgetter(0), doc="The gate's ``GateKind``.")
+    controls = property(itemgetter(1), doc="Control wires (the source wire for FANOUT).")
+    targets = property(itemgetter(2), doc="Target wires.")
 
     @property
     def operands(self) -> tuple[int, ...]:
-        return self.controls + self.targets
+        return self[1] + self[2]
 
     @property
     def fanout_length(self) -> int:
         """Number of fan-out targets; 0 for non-FANOUT gates."""
-        return len(self.targets) if self.kind is GateKind.FANOUT else 0
+        return len(self[2]) if self[0] is GateKind.FANOUT else 0
+
+    def __reduce__(self):
+        # Unpickling and copying go through the validating constructor.
+        return (type(self), tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Gate(kind={self[0]!r}, controls={self[1]!r}, targets={self[2]!r})"
+
+
+# The synthesizers build gates unchecked, through ``tuple.__new__``: they
+# check the wires they are given once, up front (``_check_wires``), and emit
+# only gates of the right arity.  Everything else goes through ``Gate(...)``.
+_new = tuple.__new__
+_NOT, _CNOT, _TOFFOLI, _FANOUT = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FANOUT
+
+
+def _x(target: int) -> Gate:
+    return _new(Gate, (_NOT, (), (target,)))
+
+
+def _cx(control: int, target: int) -> Gate:
+    return _new(Gate, (_CNOT, (control,), (target,)))
+
+
+def _ccx(c1: int, c2: int, target: int) -> Gate:
+    return _new(Gate, (_TOFFOLI, (c1, c2), (target,)))
+
+
+def _fo(source: int, targets: tuple[int, ...]) -> Gate:
+    return _new(Gate, (_FANOUT, (source,), targets))
+
+
+def _check_wires(*registers: Iterable[int]) -> None:
+    """Reject caller-supplied wire ids that are negative or not pairwise
+    distinct across all ``registers``."""
+    wires = [w for register in registers for w in register]
+    if wires and min(wires) < 0:
+        raise ValueError(f"negative wire id {min(wires)}")
+    if len(set(wires)) != len(wires):
+        raise ValueError("wire ids must be pairwise distinct")
 
 
 def x(target: int) -> Gate:
@@ -91,11 +150,11 @@ def ccx(c1: int, c2: int, target: int) -> Gate:
 
 
 def fo(source: int, targets: Iterable[int]) -> Gate:
-    return Gate(GateKind.FANOUT, (source,), tuple(targets))
+    return Gate(GateKind.FANOUT, (source,), targets)
 
 
 def tg(controls: Iterable[int], target: int) -> Gate:
-    return Gate(GateKind.GEN_TOFFOLI, tuple(controls), (target,))
+    return Gate(GateKind.GEN_TOFFOLI, controls, (target,))
 
 
 @dataclass(frozen=True)
@@ -143,7 +202,7 @@ class Circuit:
 
     Circuits are meant to be immutable once synthesis is finished;
     ``append``/``extend`` are the only mutators and validate every gate
-    against the wire count.
+    against the wire count.  At most ``WIRE_CAP`` wires.
     """
 
     __slots__ = ("wire_count", "ancilla", "role_map", "gates")
@@ -157,6 +216,8 @@ class Circuit:
     ) -> None:
         if wire_count <= 0:
             raise ValueError(f"wire_count must be positive, got {wire_count}")
+        if wire_count > WIRE_CAP:
+            raise ValueError(f"wire_count {wire_count} exceeds the cap of {WIRE_CAP}")
         self.wire_count = int(wire_count)
         anc = frozenset(int(w) for w in ancilla)
         for w in anc:
@@ -177,17 +238,18 @@ class Circuit:
         self.extend(gates)
 
     def append(self, gate: Gate) -> "Circuit":
-        for w in gate.operands:
-            if w >= self.wire_count:
-                raise ValueError(
-                    f"gate operand {w} out of range for {self.wire_count} wires"
-                )
-        self.gates.append(gate)
-        return self
+        return self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        for g in gates:
-            self.append(g)
+        wire_count = self.wire_count
+        out = self.gates
+        for gate in gates:
+            if not isinstance(gate, Gate):
+                raise TypeError(f"expected a Gate, got {type(gate).__name__}")
+            for w in gate[1] + gate[2]:
+                if w >= wire_count:
+                    raise ValueError(f"gate operand {w} out of range for {wire_count} wires")
+            out.append(gate)
         return self
 
     def inverse(self) -> "Circuit":
@@ -238,9 +300,8 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
     tdepth_at = [0] * circuit.wire_count
     n_not = n_cnot = n_toffoli = n_fanout = n_gen = 0
     max_fanout = 0
-    for gate in circuit.gates:
-        kind = gate.kind
-        ops = gate.controls + gate.targets
+    for kind, controls, targets in circuit.gates:
+        ops = controls + targets
         d = 0
         td = 0
         for w in ops:
@@ -258,8 +319,8 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
             n_not += 1
         elif kind is GateKind.FANOUT:
             n_fanout += 1
-            if len(gate.targets) > max_fanout:
-                max_fanout = len(gate.targets)
+            if len(targets) > max_fanout:
+                max_fanout = len(targets)
         else:
             n_gen += 1
             td += 1
@@ -297,9 +358,9 @@ def max_window_span(circuit: Circuit, layout: Mapping[int, int]) -> int:
         raise ValueError("layout positions must be non-negative")
     pos = [positions[w] for w in range(circuit.wire_count)]
     span = 0
-    for gate in circuit.gates:
-        lo = hi = pos[gate.targets[0]]
-        for w in gate.controls + gate.targets:
+    for _, controls, targets in circuit.gates:
+        lo = hi = pos[targets[0]]
+        for w in controls + targets:
             p = pos[w]
             if p < lo:
                 lo = p

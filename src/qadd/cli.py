@@ -12,13 +12,19 @@ import json
 import sys
 
 from .blocked import BlockParams, synth_combined
-from .circuit import Circuit, compute_stats
+from .circuit import WIRE_CAP, Circuit, compute_stats
 from .estimator import fanout_adder_cost, shor_dlog_estimate
 from .fanout import synth_fanout_tree
 from .netlist import NetlistError, export_netlist, parse_netlist
 from .oracles import adder_oracle, fanout_oracle
 from .ripple import synth_ripple
-from .sim import VerifyReport, verify_exhaustive, verify_random
+from .sim import (
+    EXHAUSTIVE_WIRE_CAP,
+    VerifyReport,
+    _check_random_request,
+    verify_exhaustive,
+    verify_random,
+)
 
 #: Default policy: exhaustive when at most this many free wires, else trials.
 EXHAUSTIVE_DEFAULT_LIMIT = 20
@@ -79,20 +85,36 @@ def _require(args: argparse.Namespace, names: list[str], forbid: list[str]) -> N
             raise UsageError(f"--kind {args.kind} does not take --{name}")
 
 
-def _build(args: argparse.Namespace):
-    """Synthesize the requested circuit and its packed oracle."""
+def _data_wires(args: argparse.Namespace) -> int:
+    """Check the kind flags and return the requested circuit's data-wire
+    count (2n+1 for the adders, t+1 for a fan-out tree), rejecting one above
+    ``WIRE_CAP`` before anything is built."""
     if args.kind is None:
         raise UsageError("--kind is required")
     if args.kind == "ripple":
         _require(args, ["n"], ["d", "t", "f"])
+        wires = 2 * args.n + 1
+    elif args.kind == "combined":
+        _require(args, ["n", "d"], ["t", "f"])
+        wires = 2 * args.n + 1
+    else:
+        _require(args, ["t", "f"], ["n", "d"])
+        wires = args.t + 1
+    if wires > WIRE_CAP:
+        raise ValueError(f"--kind {args.kind} needs {wires} wires, above the cap of {WIRE_CAP}")
+    return wires
+
+
+def _build(args: argparse.Namespace):
+    """Synthesize the requested circuit and its packed oracle."""
+    _data_wires(args)
+    if args.kind == "ripple":
         circuit = synth_ripple(args.n)
         _, packed = adder_oracle(circuit)
     elif args.kind == "combined":
-        _require(args, ["n", "d"], ["t", "f"])
         circuit = synth_combined(BlockParams(args.n, args.d))
         _, packed = adder_oracle(circuit)
     else:
-        _require(args, ["t", "f"], ["n", "d"])
         targets = list(range(1, args.t + 1))
         circuit = synth_fanout_tree(0, targets, args.f)
         _, packed = fanout_oracle(circuit, 0, targets)
@@ -118,9 +140,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Every data wire is free, so the input size is known before synthesis.
+    free = _data_wires(args)
+    exhaustive = args.exhaustive or free <= EXHAUSTIVE_DEFAULT_LIMIT
+    if exhaustive and free > EXHAUSTIVE_WIRE_CAP:
+        raise ValueError(
+            f"{free} free wires exceed the exhaustive cap of {EXHAUSTIVE_WIRE_CAP}"
+        )
+    if not exhaustive:
+        _check_random_request(args.trials, free)
     circuit, packed = _build(args)
-    free = circuit.wire_count - len(circuit.ancilla)
-    if args.exhaustive or free <= EXHAUSTIVE_DEFAULT_LIMIT:
+    if exhaustive:
         report: VerifyReport = verify_exhaustive(circuit, packed_oracle=packed)
         mode = "exhaustive"
     else:

@@ -13,16 +13,23 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate, cx, fo
+from .circuit import Circuit, Gate, _check_wires, _cx, _fo
 
 
-def fanout_tree_gates(source: int, targets: tuple[int, ...], f: int) -> list[Gate]:
+def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
+    """Gate list of ``synth_fanout_tree`` on explicit wires."""
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError("need at least one target")
+    if f < 1:
+        raise ValueError("fan-out length bound must be >= 1")
+    _check_wires((source,), targets)
     t = len(targets)
     if f == 1:
         # degenerate case: a CNOT chain of depth t
-        return [cx(source, w) for w in targets]
+        return [_cx(source, w) for w in targets]
     if t <= f:
-        return [fo(source, targets)]
+        return [_fo(source, targets)]
     up: list[Gate] = []
     covered = 1  # targets[0] is the tree root
     while covered < t:
@@ -31,10 +38,10 @@ def fanout_tree_gates(source: int, targets: tuple[int, ...], f: int) -> list[Gat
             if covered >= t:
                 break
             take = min(f, t - covered)
-            up.append(fo(targets[idx], targets[covered : covered + take]))
+            up.append(_fo(targets[idx], targets[covered : covered + take]))
             covered += take
     down = list(reversed(up))
-    return down + [cx(source, targets[0])] + up
+    return down + [_cx(source, targets[0])] + up
 
 
 def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
@@ -46,13 +53,7 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     The circuit is its own inverse.
     """
     targets = tuple(int(w) for w in targets)
-    if not targets:
-        raise ValueError("need at least one target")
-    if f < 1:
-        raise ValueError("fan-out length bound must be >= 1")
-    wires = (source,) + targets
-    if len(set(wires)) != len(wires):
-        raise ValueError("source and targets must be pairwise distinct")
-    circuit = Circuit(max(wires) + 1)
-    circuit.extend(fanout_tree_gates(source, targets, f))
+    gates = fanout_tree_gates(source, targets, f)
+    circuit = Circuit(max(source, *targets) + 1)
+    circuit.extend(gates)
     return circuit

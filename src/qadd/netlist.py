@@ -15,7 +15,7 @@ blank lines are ignored on input.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import WIRE_CAP, Circuit, Gate, GateKind
 
 MAGIC = "qadd 1"
 
@@ -39,9 +39,9 @@ def export_netlist(circuit: Circuit) -> str:
     if circuit.role_map:
         for w in sorted(circuit.role_map):
             lines.append(f"# role {w} {circuit.role_map[w]}")
-    for gate in circuit.gates:
-        ids = " ".join(str(w) for w in gate.controls + gate.targets)
-        lines.append(f"{gate.kind.value} {ids}")
+    for kind, controls, targets in circuit.gates:
+        ids = " ".join(str(w) for w in controls + targets)
+        lines.append(f"{kind.value} {ids}")
     return "\n".join(lines) + "\n"
 
 
@@ -101,6 +101,8 @@ def parse_netlist(text: str) -> Circuit:
             ids = _int_tokens(tokens[1:], lineno, raw)
             if len(ids) != 1 or ids[0] < 1:
                 raise NetlistError(lineno, 1, "qubits line needs one positive count")
+            if ids[0] > WIRE_CAP:
+                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
             wire_count = ids[0]
             continue
 

@@ -9,7 +9,7 @@ the interleaved line layout no gate spans more than 3 adjacent positions.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, ccx, cx
+from .circuit import Circuit, Gate, _ccx, _check_wires, _cx
 
 
 def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
@@ -17,7 +17,8 @@ def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
 
     Two CNOTs followed by one Toffoli; MAJ(a,b,c) = ab ^ bc ^ ca.
     """
-    return [cx(a, c), cx(a, b), ccx(c, b, a)]
+    _check_wires((c, b, a))
+    return [_cx(a, c), _cx(a, b), _ccx(c, b, a)]
 
 
 def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
@@ -30,22 +31,23 @@ def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
     n = len(b)
     if n < 1 or len(a) != n:
         raise ValueError("need two registers of equal positive width")
+    _check_wires(b, a, (z,))
     aa = list(a) + [z]  # aa[n] holds z
     gates: list[Gate] = []
     # step 1: fold a into b (bit 0 excluded; its carry-in is 0)
-    gates += [cx(aa[i], b[i]) for i in range(1, n)]
+    gates += [_cx(aa[i], b[i]) for i in range(1, n)]
     # step 2: downward CNOT chain prepares a_i ^ a_{i-1}
-    gates += [cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
+    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
     # step 3: upward Toffoli chain turns those into a_i ^ c_i
-    gates += [ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
+    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
     # step 4: fold carries into b while unwinding the carry chain
     for i in range(n - 1, 0, -1):
-        gates.append(cx(aa[i], b[i]))
-        gates.append(ccx(b[i - 1], aa[i - 1], aa[i]))
+        gates.append(_cx(aa[i], b[i]))
+        gates.append(_ccx(b[i - 1], aa[i - 1], aa[i]))
     # step 5: undo the step-2 chain
-    gates += [cx(aa[i], aa[i + 1]) for i in range(1, n - 1)]
+    gates += [_cx(aa[i], aa[i + 1]) for i in range(1, n - 1)]
     # step 6: b_i ^ a_i ^ c_i = s_i
-    gates += [cx(aa[i], b[i]) for i in range(n)]
+    gates += [_cx(aa[i], b[i]) for i in range(n)]
     return gates
 
 
@@ -60,11 +62,12 @@ def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[G
     n = len(b)
     if n < 1 or len(a) != n:
         raise ValueError("need two registers of equal positive width")
+    _check_wires(b, a, (carry_out,))
     aa = list(a) + [carry_out]
     gates: list[Gate] = []
-    gates += [cx(aa[i], b[i]) for i in range(1, n)]
-    gates += [cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
-    gates += [ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
+    gates += [_cx(aa[i], b[i]) for i in range(1, n)]
+    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
+    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
     return gates
 
 

@@ -63,26 +63,26 @@ def splitmix64(seed: int) -> Iterator[int]:
 def apply_gate(state: Sequence[int], gate: Gate) -> BitState:
     """Apply one gate to a bit state; returns a new state."""
     out = list(state)
-    for w in gate.operands:
+    kind, controls, targets = gate
+    for w in controls + targets:
         if w >= len(out):
             raise ValueError(f"gate operand {w} out of range for state of {len(out)} wires")
-    kind = gate.kind
     if kind is GateKind.NOT:
-        out[gate.targets[0]] ^= 1
+        out[targets[0]] ^= 1
     elif kind is GateKind.CNOT:
-        out[gate.targets[0]] ^= out[gate.controls[0]]
+        out[targets[0]] ^= out[controls[0]]
     elif kind is GateKind.TOFFOLI:
-        c1, c2 = gate.controls
-        out[gate.targets[0]] ^= out[c1] & out[c2]
+        c1, c2 = controls
+        out[targets[0]] ^= out[c1] & out[c2]
     elif kind is GateKind.FANOUT:
-        src = out[gate.controls[0]]
-        for t in gate.targets:
+        src = out[controls[0]]
+        for t in targets:
             out[t] ^= src
     else:  # GEN_TOFFOLI
         acc = 1
-        for c in gate.controls:
+        for c in controls:
             acc &= out[c]
-        out[gate.targets[0]] ^= acc
+        out[targets[0]] ^= acc
     return out
 
 
@@ -100,24 +100,23 @@ def run(circuit: Circuit, state: Sequence[int]) -> BitState:
     if bad:
         raise ValueError(f"ancilla wires {sorted(bad)} must be 0 on input")
     out = list(state)
-    for gate in circuit.gates:
-        kind = gate.kind
+    for kind, controls, targets in circuit.gates:
         if kind is GateKind.NOT:
-            out[gate.targets[0]] ^= 1
+            out[targets[0]] ^= 1
         elif kind is GateKind.CNOT:
-            out[gate.targets[0]] ^= out[gate.controls[0]]
+            out[targets[0]] ^= out[controls[0]]
         elif kind is GateKind.TOFFOLI:
-            c1, c2 = gate.controls
-            out[gate.targets[0]] ^= out[c1] & out[c2]
+            c1, c2 = controls
+            out[targets[0]] ^= out[c1] & out[c2]
         elif kind is GateKind.FANOUT:
-            src = out[gate.controls[0]]
-            for t in gate.targets:
+            src = out[controls[0]]
+            for t in targets:
                 out[t] ^= src
         else:
             acc = 1
-            for c in gate.controls:
+            for c in controls:
                 acc &= out[c]
-            out[gate.targets[0]] ^= acc
+            out[targets[0]] ^= acc
     return out
 
 
@@ -127,24 +126,23 @@ def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[i
         raise ValueError("column count must equal wire count")
     mask = (1 << n_cases) - 1
     cols = list(columns)
-    for gate in circuit.gates:
-        kind = gate.kind
+    for kind, controls, targets in circuit.gates:
         if kind is GateKind.CNOT:
-            cols[gate.targets[0]] ^= cols[gate.controls[0]]
+            cols[targets[0]] ^= cols[controls[0]]
         elif kind is GateKind.TOFFOLI:
-            c1, c2 = gate.controls
-            cols[gate.targets[0]] ^= cols[c1] & cols[c2]
+            c1, c2 = controls
+            cols[targets[0]] ^= cols[c1] & cols[c2]
         elif kind is GateKind.NOT:
-            cols[gate.targets[0]] ^= mask
+            cols[targets[0]] ^= mask
         elif kind is GateKind.FANOUT:
-            src = cols[gate.controls[0]]
-            for t in gate.targets:
+            src = cols[controls[0]]
+            for t in targets:
                 cols[t] ^= src
         else:
             acc = mask
-            for c in gate.controls:
+            for c in controls:
                 acc &= cols[c]
-            cols[gate.targets[0]] ^= acc
+            cols[targets[0]] ^= acc
     return cols
 
 
@@ -297,14 +295,17 @@ def _check_columns(
     if packed_oracle is not None:
         exp_cols = packed_oracle(list(in_cols), n_cases)
     else:
-        exp_cols = [0] * wc
+        # Set each expected bit in a per-wire byte buffer and convert once,
+        # which keeps this linear in the case count.
         in_bufs = [_column_bytes(c, n_cases) for c in in_cols]
+        exp_bufs = [bytearray((n_cases + 7) // 8) for _ in range(wc)]
         for case in range(n_cases):
-            bit_pos = 1 << case
+            byte, bit = case >> 3, 1 << (case & 7)
             expected = oracle(_case_bits(in_bufs, case, wc))
             for w in data_wires:
                 if expected[w]:
-                    exp_cols[w] |= bit_pos
+                    exp_bufs[w][byte] |= bit
+        exp_cols = [int.from_bytes(buf, "little") for buf in exp_bufs]
 
     diff = 0
     for w in data_wires:
@@ -333,6 +334,18 @@ def _check_columns(
         ancilla_violations=tuple(violations),
         seed=seed,
     )
+
+
+def _check_random_request(trials: int, width: int) -> None:
+    """Reject a seeded run of ``trials`` over ``width`` free wires before
+    anything is allocated for it."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials * width > RANDOM_INPUT_BIT_CAP:
+        raise ValueError(
+            f"{trials} trials x {width} free wires exceed the seeded input "
+            f"cap of {RANDOM_INPUT_BIT_CAP} bits"
+        )
 
 
 def _resolve_free(circuit: Circuit, free_wires: Iterable[int] | None) -> list[int]:
@@ -388,13 +401,7 @@ def verify_random(
     least 64 trials).  ``trials * len(free wires)`` is capped at
     ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     free = _resolve_free(circuit, free_wires)
-    if trials * len(free) > RANDOM_INPUT_BIT_CAP:
-        raise ValueError(
-            f"{trials} trials x {len(free)} free wires exceed the seeded input "
-            f"cap of {RANDOM_INPUT_BIT_CAP} bits"
-        )
+    _check_random_request(trials, len(free))
     cols = _random_columns(circuit, free, trials, seed)
     return _check_columns(circuit, cols, trials, oracle, packed_oracle, seed)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qadd import parse_netlist
+import qadd.cli as cli
+from qadd import WIRE_CAP, parse_netlist
 from qadd.cli import dispatch
 
 
@@ -144,3 +145,58 @@ def test_verify_rejects_trials_above_input_cap(capsys):
     )
     assert code == 2
     assert "cap" in err and not out
+
+
+def _forbid_synthesis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis ran for an oversized request")
+
+    for name in ("synth_ripple", "synth_combined", "synth_fanout_tree"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "stats"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--kind", "ripple", "--n", str(WIRE_CAP // 2)),  # 2n+1 wires
+        ("--kind", "combined", "--n", str(1 << 40), "--d", "4"),
+        ("--kind", "fanout-tree", "--t", str(WIRE_CAP), "--f", "2"),  # t+1 wires
+        ("--kind", "fanout-tree", "--t", str(10**18), "--f", "2"),
+    ],
+)
+def test_oversized_kind_is_rejected_before_synthesis(capsys, monkeypatch, command, flags):
+    _forbid_synthesis(monkeypatch)
+    code, out, err = run_cli(capsys, command, *flags)
+    assert code == 2
+    assert "cap" in err and not out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--kind", "ripple", "--n", "100000", "--trials", str(10**12)),
+        ("--kind", "combined", "--n", "4096", "--d", "12", "--trials", str(10**6)),
+        ("--kind", "fanout-tree", "--t", "4096", "--f", "4", "--trials", str(10**6)),
+        ("--kind", "ripple", "--n", "16", "--trials", "0"),
+        ("--kind", "ripple", "--n", "12", "--exhaustive"),  # 25 free wires
+    ],
+)
+def test_verify_checks_input_size_before_synthesis(capsys, monkeypatch, flags):
+    _forbid_synthesis(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert err and not out
+
+
+def test_largest_allowed_kind_passes_the_wire_check():
+    args = cli.build_parser().parse_args(["synth", "--kind", "ripple", "--n", str(WIRE_CAP // 2 - 1)])
+    assert cli._data_wires(args) == WIRE_CAP - 1
+
+
+def test_stats_rejects_oversized_netlist(tmp_path, capsys):
+    path = tmp_path / "huge.qn"
+    path.write_text("qadd 1\nqubits 20000000\nancilla\ncx 0 1\n")
+    code, out, err = run_cli(capsys, "stats", str(path))
+    assert code == 2
+    assert "line 2" in err and "cap" in err and not out

@@ -6,6 +6,7 @@ from qadd import (
     BlockParams,
     Circuit,
     NetlistError,
+    WIRE_CAP,
     build_circuit,
     ccx,
     cx,
@@ -128,3 +129,12 @@ def test_parse_rejects_non_ascii_digit_wire_ids(wire):
 
 def test_parse_rejects_duplicate_ancilla_ids():
     _expect_error("qadd 1\nqubits 3\nancilla 1 1\n", 3, "duplicate ancilla")
+
+
+def test_wire_cap():
+    assert Circuit(WIRE_CAP).wire_count == WIRE_CAP
+    with pytest.raises(ValueError, match="cap"):
+        Circuit(WIRE_CAP + 1)
+    assert parse_netlist(f"qadd 1\nqubits {WIRE_CAP}\n").wire_count == WIRE_CAP
+    _expect_error("qadd 1\nqubits 20000000\nancilla 1\ncx 0 1\n", 2, "cap")
+    _expect_error(f"qadd 1\nqubits {WIRE_CAP + 1}\n", 2, "cap")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qadd import (
+    BlockParams,
     Circuit,
     apply_gate,
     build_circuit,
@@ -16,16 +17,21 @@ from qadd import (
     run,
     run_packed,
     splitmix64,
+    synth_combined,
     synth_ripple,
     tg,
     verify_exhaustive,
     verify_random,
     x,
 )
+from qadd.blocked import combined_step_gates
 from qadd.oracles import adder_oracle
 from qadd.sim import (
     _CHUNK_BITS,
     RANDOM_INPUT_BIT_CAP,
+    _case_bits,
+    _check_columns,
+    _column_bytes,
     _enumeration_columns,
     _random_columns,
     _splitmix64_block,
@@ -295,3 +301,52 @@ def test_verify_random_caps_input_bits():
         verify_random(c, packed_oracle=lambda cols, n: cols, trials=trials)
     report = verify_random(c, packed_oracle=lambda cols, n: cols, trials=64, seed=1)
     assert report.ok
+
+
+def _expected_columns_reference(circuit, in_cols, n_cases, oracle):
+    """The original per-case oracle loop, which ORs one bit per case into
+    growing ints; kept as the reference."""
+    wc = circuit.wire_count
+    data_wires = [w for w in range(wc) if w not in circuit.ancilla]
+    exp_cols = [0] * wc
+    in_bufs = [_column_bytes(c, n_cases) for c in in_cols]
+    for case in range(n_cases):
+        bit_pos = 1 << case
+        expected = oracle(_case_bits(in_bufs, case, wc))
+        for w in data_wires:
+            if expected[w]:
+                exp_cols[w] |= bit_pos
+    return exp_cols
+
+
+def _combined_without_first_complement_gate():
+    """Combined n = 8, d = 2 minus one NOT of its complement section: the sum
+    comes out wrong on every input, and some inputs leave an ancilla set."""
+    good = synth_combined(BlockParams(8, 2))
+    sections = combined_step_gates(BlockParams(8, 2))
+    names = [name for name, _ in sections]
+    index = sum(len(gates) for _, gates in sections[: names.index("complement")])
+    gates = good.gates[:index] + good.gates[index + 1 :]
+    return Circuit(good.wire_count, good.ancilla, good.role_map, gates)
+
+
+@pytest.mark.parametrize("n_cases", [1, 7, 8, 9, 63, 64, 65, 1000])
+@pytest.mark.parametrize("broken", [False, True], ids=["good", "broken"])
+def test_per_case_oracle_matches_reference_loop(n_cases, broken):
+    if broken:
+        circuit = _combined_without_first_complement_gate()
+    else:
+        circuit = synth_combined(BlockParams(8, 2))
+    assert circuit.ancilla
+    per_case, _ = adder_oracle(circuit)
+    free = [w for w in range(circuit.wire_count) if w not in circuit.ancilla]
+    in_cols = _random_columns(circuit, free, n_cases, seed=n_cases)
+    reference = _expected_columns_reference(circuit, in_cols, n_cases, per_case)
+    got = _check_columns(circuit, in_cols, n_cases, per_case, None, seed=n_cases)
+    want = _check_columns(
+        circuit, in_cols, n_cases, None, lambda cols, n: reference, seed=n_cases
+    )
+    assert got == want and got.to_json() == want.to_json()
+    assert got.ok is not broken
+    if broken and n_cases >= 64:
+        assert got.ancilla_violations
