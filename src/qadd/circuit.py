@@ -106,7 +106,8 @@ class Gate(tuple):
 
 # The synthesizers build gates unchecked, through ``tuple.__new__``: they
 # check the wires they are given once, up front (``_check_wires``), and emit
-# only gates of the right arity.  Everything else goes through ``Gate(...)``.
+# only gates of the right arity.  ``parse_netlist`` does too, after checking
+# each gate line itself.  Everything else goes through ``Gate(...)``.
 _new = tuple.__new__
 _NOT, _CNOT, _TOFFOLI, _FANOUT = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FANOUT
 
@@ -202,7 +203,8 @@ class Circuit:
 
     Circuits are meant to be immutable once synthesis is finished;
     ``append``/``extend`` are the only mutators and validate every gate
-    against the wire count.  At most ``WIRE_CAP`` wires.
+    against the wire count.  At most ``WIRE_CAP`` wires.  Role labels are
+    unique, non-empty and free of whitespace.
     """
 
     __slots__ = ("wire_count", "ancilla", "role_map", "gates")
@@ -226,9 +228,13 @@ class Circuit:
         self.ancilla = anc
         if role_map is not None:
             roles = {int(w): str(label) for w, label in role_map.items()}
-            for w in roles:
+            for w, label in roles.items():
                 if not 0 <= w < wire_count:
                     raise ValueError(f"role wire {w} out of range")
+                # A label is one netlist token, so it can neither inject a
+                # line nor split into two tokens on export.
+                if label.split() != [label]:
+                    raise ValueError(f"role label {label!r} is empty or has whitespace")
             if len(set(roles.values())) != len(roles):
                 raise ValueError("role labels must be unique")
             self.role_map: dict[int, str] | None = roles

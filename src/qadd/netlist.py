@@ -11,15 +11,37 @@ Layout (newline-terminated, no trailing whitespace, decimal wire ids):
 Export is canonical, so equal circuits produce byte-identical documents
 and ``parse_netlist(export_netlist(c)) == c``.  Other ``#`` lines and
 blank lines are ignored on input.
+
+The parser is the trust boundary for netlist text, and every error is a
+``NetlistError`` at the line that caused it.  The ``qubits`` line comes
+first; ``ancilla`` and ``# role`` lines follow it and precede the gates.
+A role line is checked where it stands: its wire must be in range, and
+its wire and its label must not repeat.  A label is one token with no
+whitespace, the rule ``Circuit`` enforces.  A gate line is validated in
+one pass on that line: ASCII-digit ids, the opcode's arity, pairwise
+distinct operands and every id below the wire count.  The gates are then
+built unchecked and handed to ``Circuit``, whose ``extend`` checks each
+one against the wire count once more.
 """
 
 from __future__ import annotations
 
-from .circuit import WIRE_CAP, Circuit, Gate, GateKind
+from itertools import islice
+
+from .circuit import WIRE_CAP, Circuit, Gate, GateKind, _new
 
 MAGIC = "qadd 1"
 
-_OPCODES = {kind.value: kind for kind in GateKind}
+# Opcode -> (kind, cut, arity): a gate line's ids split into controls
+# ``ids[:cut]`` and targets ``ids[cut:]``; ``arity`` is the exact id count,
+# or None for the variadic kinds, which take at least two.
+_SPECS = {
+    "x": (GateKind.NOT, 0, 1),
+    "cx": (GateKind.CNOT, 1, 2),
+    "ccx": (GateKind.TOFFOLI, 2, 3),
+    "fo": (GateKind.FANOUT, 1, None),
+    "tg": (GateKind.GEN_TOFFOLI, -1, None),
+}
 
 
 class NetlistError(ValueError):
@@ -39,60 +61,97 @@ def export_netlist(circuit: Circuit) -> str:
     if circuit.role_map:
         for w in sorted(circuit.role_map):
             lines.append(f"# role {w} {circuit.role_map[w]}")
+    append = lines.append
+    join = " ".join
     for kind, controls, targets in circuit.gates:
-        ids = " ".join(str(w) for w in controls + targets)
-        lines.append(f"{kind.value} {ids}")
+        append(join((kind._value_, *map(str, controls + targets))))
     return "\n".join(lines) + "\n"
 
 
-def _gate_from_tokens(kind: GateKind, ids: list[int]) -> Gate:
-    if kind is GateKind.FANOUT:
-        return Gate(kind, (ids[0],), tuple(ids[1:]))
-    if kind is GateKind.GEN_TOFFOLI:
-        return Gate(kind, tuple(ids[:-1]), (ids[-1],))
-    n_controls = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}[kind]
-    if len(ids) != n_controls + 1:
-        raise ValueError(f"{kind.value} takes {n_controls + 1} wire ids, got {len(ids)}")
-    return Gate(kind, tuple(ids[:n_controls]), (ids[n_controls],))
-
-
 def _int_tokens(tokens: list[str], lineno: int, line: str) -> list[int]:
+    """Convert wire-id tokens, raising ``NetlistError`` at the first bad one:
+    not all ASCII digits, or too long for ``int``."""
     out = []
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
             raise NetlistError(lineno, line.index(tok) + 1, f"expected wire id, got {tok!r}")
-        out.append(int(tok))
+        try:
+            out.append(int(tok))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise NetlistError(
+                lineno, line.index(tok) + 1, f"wire id of {len(tok)} digits is too long"
+            ) from None
     return out
 
 
 def parse_netlist(text: str) -> Circuit:
     lines = text.split("\n")
-    if not lines or lines[0].strip() != MAGIC:
+    if lines[0].strip() != MAGIC:
         raise NetlistError(1, 1, f"missing format line {MAGIC!r}")
 
     wire_count: int | None = None
     ancilla: list[int] = []
     roles: dict[int, str] = {}
-    circuit: Circuit | None = None
+    labels: set[str] = set()
+    gates: list[Gate] = []
     seen_ancilla = False
+    specs = _SPECS
+    add_gate = gates.append
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
+    for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
+        spec = specs.get(head)
+
+        if spec is not None:
+            if wire_count is None:
+                raise NetlistError(lineno, 1, "qubits line must precede everything else")
+            del tokens[0]
+            digits = "".join(tokens)
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(digits)
+                ids = tuple(map(int, tokens))
+            except ValueError:  # a bad token, or one longer than int() reads
+                _int_tokens(tokens, lineno, raw)  # raises at that token
+                raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
+            kind, cut, arity = spec
+            n = len(ids)
+            if arity is None:
+                if n < 2:
+                    raise NetlistError(lineno, 1, f"{head} takes at least 2 wire ids, got {n}")
+            elif n != arity:
+                raise NetlistError(lineno, 1, f"{head} takes {arity} wire ids, got {n}")
+            if len(set(ids)) != n:
+                raise NetlistError(lineno, 1, f"{head}: duplicate operand wire in {ids}")
+            if max(ids) >= wire_count:
+                w = next(w for w in ids if w >= wire_count)
+                raise NetlistError(
+                    lineno, 1, f"gate operand {w} out of range for {wire_count} wires"
+                )
+            add_gate(_new(Gate, (kind, ids[:cut], ids[cut:])))
+            continue
 
         if head == "#":
             if len(tokens) >= 2 and tokens[1] == "role":
-                if circuit is not None:
+                if wire_count is None:
+                    raise NetlistError(lineno, 1, "qubits line must precede everything else")
+                if gates:
                     raise NetlistError(lineno, 1, "role line after gates")
                 if len(tokens) != 4:
                     raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
                 (wire,) = _int_tokens(tokens[2:3], lineno, raw)
+                label = tokens[3]
                 if wire in roles:
                     raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
-                roles[wire] = tokens[3]
+                if wire >= wire_count:
+                    raise NetlistError(lineno, 1, f"role wire {wire} out of range")
+                if label in labels:
+                    raise NetlistError(lineno, 1, f"duplicate role label {label!r}")
+                roles[wire] = label
+                labels.add(label)
             continue  # other comments are ignored
 
         if head == "qubits":
@@ -112,7 +171,7 @@ def parse_netlist(text: str) -> Circuit:
         if head == "ancilla":
             if seen_ancilla:
                 raise NetlistError(lineno, 1, "duplicate ancilla line")
-            if circuit is not None:
+            if gates:
                 raise NetlistError(lineno, 1, "ancilla line after gates")
             seen_ancilla = True
             ancilla = _int_tokens(tokens[1:], lineno, raw)
@@ -123,26 +182,11 @@ def parse_netlist(text: str) -> Circuit:
                 raise NetlistError(lineno, 1, "duplicate ancilla wire id")
             continue
 
-        if head not in _OPCODES:
-            raise NetlistError(lineno, 1, f"unknown opcode {head!r}")
-        if circuit is None:
-            try:
-                circuit = Circuit(wire_count, ancilla, roles or None)
-            except ValueError as err:
-                raise NetlistError(lineno, 1, str(err)) from err
-        ids = _int_tokens(tokens[1:], lineno, raw)
-        if not ids:
-            raise NetlistError(lineno, 1, f"{head} needs wire ids")
-        try:
-            circuit.append(_gate_from_tokens(_OPCODES[head], ids))
-        except ValueError as err:
-            raise NetlistError(lineno, 1, str(err)) from err
+        raise NetlistError(lineno, 1, f"unknown opcode {head!r}")
 
     if wire_count is None:
         raise NetlistError(len(lines), 1, "missing qubits line")
-    if circuit is None:
-        try:
-            circuit = Circuit(wire_count, ancilla, roles or None)
-        except ValueError as err:
-            raise NetlistError(len(lines), 1, str(err)) from err
-    return circuit
+    del lines  # free the text's lines before Circuit copies the gate list
+    # Every check Circuit makes has been made above, line by line, so this
+    # cannot fail; extend still checks every gate against the wire count.
+    return Circuit(wire_count, ancilla, roles or None, gates)

@@ -1,10 +1,14 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadd import (
     BlockParams,
     Circuit,
+    Gate,
+    GateKind,
     NetlistError,
     WIRE_CAP,
     build_circuit,
@@ -22,6 +26,8 @@ from qadd import (
     tg,
     x,
 )
+from qadd.netlist import MAGIC
+from test_properties import circuits
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -138,3 +144,336 @@ def test_wire_cap():
     assert parse_netlist(f"qadd 1\nqubits {WIRE_CAP}\n").wire_count == WIRE_CAP
     _expect_error("qadd 1\nqubits 20000000\nancilla 1\ncx 0 1\n", 2, "cap")
     _expect_error(f"qadd 1\nqubits {WIRE_CAP + 1}\n", 2, "cap")
+
+
+# --- role labels and role lines -------------------------------------------
+
+
+# Before labels were checked, the first of these, on a circuit without
+# gates, exported to a netlist that re-parsed with one "cx 0 1" gate and the
+# label "Z"; "a b" and "" exported to netlists that did not parse.
+@pytest.mark.parametrize("label", ["Z\ncx 0 1", "a b", "", "B0\t", "\r", "Z\x0b"])
+def test_circuit_rejects_labels_that_are_not_one_token(label):
+    with pytest.raises(ValueError, match="label"):
+        Circuit(2, role_map={0: label})
+
+
+def test_role_errors_point_at_the_role_line():
+    _expect_error("qadd 1\nqubits 2\n# role 5 B0\n", 3, "role wire 5 out of range")
+    _expect_error("qadd 1\nqubits 2\n# role 5 B0\ncx 0 1\n", 3, "out of range")
+    _expect_error("qadd 1\nqubits 2\n# role 0 B0\n# role 1 B0\n", 4, "duplicate role label")
+    _expect_error("qadd 1\nqubits 2\n# role 0 B0\n# role 1 B0\ncx 0 1\n", 4, "duplicate")
+    _expect_error("qadd 1\nqubits 2\n# role 0 B0\n# role 0 A0\n", 4, "duplicate role for wire")
+    _expect_error("qadd 1\nqubits 2\ncx 0 1\n# role 0 B0\n", 4, "role line after gates")
+    _expect_error("qadd 1\nqubits 2\n# role 0\n", 3, "role line must be")
+    _expect_error("qadd 1\nqubits 2\n# role x B0\n", 3, "expected wire id")
+
+
+def test_role_line_before_qubits_is_rejected():
+    _expect_error("qadd 1\n# role 0 B0\nqubits 2\n", 2, "qubits line must precede")
+    # other comments may still come first
+    assert parse_netlist("qadd 1\n# a note\nqubits 2\n").wire_count == 2
+
+
+def test_role_lines_may_come_before_or_after_the_ancilla_line():
+    a = parse_netlist("qadd 1\nqubits 3\n# role 0 B0\nancilla 2\ncx 0 1\n")
+    b = parse_netlist("qadd 1\nqubits 3\nancilla 2\n# role 0 B0\ncx 0 1\n")
+    assert a == b and a.role_map == {0: "B0"} and a.ancilla == {2}
+
+
+# --- gate-line checks ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("x", "x needs wire ids"),
+        ("x 0 1", "x takes 1 wire ids, got 2"),
+        ("cx 0", "cx takes 2 wire ids, got 1"),
+        ("ccx 0 1", "ccx takes 3 wire ids, got 2"),
+        ("fo 0", "fo takes at least 2 wire ids, got 1"),
+        ("tg 0", "tg takes at least 2 wire ids, got 1"),
+        ("fo 0 1 1", "duplicate"),
+        ("tg 0 1 0", "duplicate"),
+        ("tg 0 1 9", "gate operand 9 out of range for 4 wires"),
+        ("fo 0 4 1", "gate operand 4 out of range"),
+        ("ccx 0 0 9", "duplicate"),  # duplicates are reported before range
+        ("cx 0 -1", "expected wire id, got '-1'"),
+        ("cx +0 1", "expected wire id"),
+        ("cx 1_0 1", "expected wire id"),
+    ],
+)
+def test_gate_line_errors(line, fragment):
+    _expect_error(f"qadd 1\nqubits 4\n\n{line}\nx 0\n", 4, fragment)
+
+
+def test_bad_token_column():
+    err = _expect_error("qadd 1\nqubits 4\n  cx\t0  q1\n", 3, "expected wire id, got 'q1'")
+    assert err.column == 9
+
+
+def test_leading_zeros_tabs_and_carriage_returns():
+    c = parse_netlist("qadd 1\r\nqubits\t004\r\nancilla 03\r\n\tccx 000 1\t2 \r\n")
+    assert c == Circuit(4, {3}, gates=[ccx(0, 1, 2)])
+
+
+@pytest.mark.parametrize(
+    "body,lineno",
+    [
+        ("qubits {}\n", 2),
+        ("qubits 4\nancilla {}\n", 3),
+        ("qubits 4\n# role {} B0\n", 3),
+        ("qubits 4\ncx 0 {}\n", 3),
+        ("qubits 4\nx {}\n", 3),
+    ],
+)
+def test_wire_ids_too_long_for_int(body, lineno):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); this used to escape as a bare ValueError.
+    _expect_error("qadd 1\n" + body.format("0" * 5000 + "1"), lineno, "too long")
+
+
+# --- the reference parser -----------------------------------------------------
+#
+# The parser as it was before gate lines were validated in one pass, kept as
+# the reference for the differential properties below.  It built each gate
+# through ``Gate(...)`` and ``Circuit.append``.  Its role-line handling
+# reported errors at the first gate line instead, so role lines are left out
+# of the differential.
+
+_REF_OPCODES = {kind.value: kind for kind in GateKind}
+
+
+def _ref_gate_from_tokens(kind, ids):
+    if kind is GateKind.FANOUT:
+        return Gate(kind, (ids[0],), tuple(ids[1:]))
+    if kind is GateKind.GEN_TOFFOLI:
+        return Gate(kind, tuple(ids[:-1]), (ids[-1],))
+    n_controls = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}[kind]
+    if len(ids) != n_controls + 1:
+        raise ValueError(f"{kind.value} takes {n_controls + 1} wire ids, got {len(ids)}")
+    return Gate(kind, tuple(ids[:n_controls]), (ids[n_controls],))
+
+
+def _ref_int_tokens(tokens, lineno, line):
+    out = []
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise NetlistError(lineno, line.index(tok) + 1, f"expected wire id, got {tok!r}")
+        out.append(int(tok))
+    return out
+
+
+def reference_parse_netlist(text):
+    lines = text.split("\n")
+    if not lines or lines[0].strip() != MAGIC:
+        raise NetlistError(1, 1, f"missing format line {MAGIC!r}")
+
+    wire_count = None
+    ancilla = []
+    roles = {}
+    circuit = None
+    seen_ancilla = False
+
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        head = tokens[0]
+
+        if head == "#":
+            if len(tokens) >= 2 and tokens[1] == "role":
+                if circuit is not None:
+                    raise NetlistError(lineno, 1, "role line after gates")
+                if len(tokens) != 4:
+                    raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
+                (wire,) = _ref_int_tokens(tokens[2:3], lineno, raw)
+                if wire in roles:
+                    raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
+                roles[wire] = tokens[3]
+            continue  # other comments are ignored
+
+        if head == "qubits":
+            if wire_count is not None:
+                raise NetlistError(lineno, 1, "duplicate qubits line")
+            ids = _ref_int_tokens(tokens[1:], lineno, raw)
+            if len(ids) != 1 or ids[0] < 1:
+                raise NetlistError(lineno, 1, "qubits line needs one positive count")
+            if ids[0] > WIRE_CAP:
+                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
+            wire_count = ids[0]
+            continue
+
+        if wire_count is None:
+            raise NetlistError(lineno, 1, "qubits line must precede everything else")
+
+        if head == "ancilla":
+            if seen_ancilla:
+                raise NetlistError(lineno, 1, "duplicate ancilla line")
+            if circuit is not None:
+                raise NetlistError(lineno, 1, "ancilla line after gates")
+            seen_ancilla = True
+            ancilla = _ref_int_tokens(tokens[1:], lineno, raw)
+            bad = [w for w in ancilla if w >= wire_count]
+            if bad:
+                raise NetlistError(lineno, 1, f"ancilla wire {bad[0]} out of range")
+            if len(set(ancilla)) != len(ancilla):
+                raise NetlistError(lineno, 1, "duplicate ancilla wire id")
+            continue
+
+        if head not in _REF_OPCODES:
+            raise NetlistError(lineno, 1, f"unknown opcode {head!r}")
+        if circuit is None:
+            try:
+                circuit = Circuit(wire_count, ancilla, roles or None)
+            except ValueError as err:
+                raise NetlistError(lineno, 1, str(err)) from err
+        ids = _ref_int_tokens(tokens[1:], lineno, raw)
+        if not ids:
+            raise NetlistError(lineno, 1, f"{head} needs wire ids")
+        try:
+            circuit.append(_ref_gate_from_tokens(_REF_OPCODES[head], ids))
+        except ValueError as err:
+            raise NetlistError(lineno, 1, str(err)) from err
+
+    if wire_count is None:
+        raise NetlistError(len(lines), 1, "missing qubits line")
+    if circuit is None:
+        try:
+            circuit = Circuit(wire_count, ancilla, roles or None)
+        except ValueError as err:
+            raise NetlistError(len(lines), 1, str(err)) from err
+    return circuit
+
+
+def _outcome(parse, text):
+    """The re-exported bytes of the parsed circuit, or the error's line."""
+    try:
+        return export_netlist(parse(text))
+    except NetlistError as err:
+        return ("NetlistError", err.line)
+
+
+def test_reference_agrees_on_the_golden_file_and_the_error_cases():
+    texts = [(DATA / "ripple_n3.qn").read_text(), export_netlist(synth_combined(BlockParams(8, 2)))]
+    texts += [
+        "nope\n",
+        "qadd 1\nqubits 2\nccx 0 0 1\n",
+        "qadd 1\nqubits 2\ncx 0 5\n",
+        "qadd 1\nqubits 2\nzz 0 1\n",
+        "qadd 1\nqubits 2\ncx 0 q\n",
+        "qadd 1\nqubits 0\n",
+        "qadd 1\ncx 0 1\n",
+        "qadd 1\nqubits 2\ncx 0\n",
+        "qadd 1\nqubits 2\nfo 0\n",
+        "qadd 1\nqubits 2\ntg 1\n",
+        "qadd 1\nqubits 2\nancilla 7\n",
+        "qadd 1\nqubits 2\ncx 0 1\nancilla 0\n",
+        "qadd 1\n",
+    ]
+    for text in texts:
+        assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+# --- differential and fuzz properties ------------------------------------------
+
+NUMBERS = [str(i) for i in range(10)] + ["007", "00", "12", "4194304", "4194305"]
+JUNK = ["q", "-1", "+1", "1_0", "²", "١", "１", "0x1", "1.0", "qadd", "1", "#", "##", "role?"]
+OPCODES = ["x", "cx", "ccx", "fo", "tg"]
+SEPARATORS = [" ", "  ", "\t", " \t ", "\r", "\x0b", " "]
+
+
+@st.composite
+def token_lines(draw):
+    shapes = ["gate", "gate", "gate", "qubits", "ancilla", "comment", "blank", "soup"]
+    shape = draw(st.sampled_from(shapes))
+    if shape == "gate":
+        tokens = [draw(st.sampled_from(OPCODES))] + draw(
+            st.lists(st.sampled_from(NUMBERS[:10]), max_size=5)
+        )
+    elif shape == "qubits":
+        tokens = ["qubits", draw(st.sampled_from(NUMBERS))]
+    elif shape == "ancilla":
+        tokens = ["ancilla"] + draw(st.lists(st.sampled_from(NUMBERS), max_size=3))
+    elif shape == "comment":
+        tokens = ["#", draw(st.sampled_from(["note", "rolex", "#", "cx 0 1"]))]
+    elif shape == "blank":
+        tokens = []
+    else:
+        vocabulary = OPCODES + NUMBERS + JUNK + ["qubits", "ancilla"]
+        tokens = draw(st.lists(st.sampled_from(vocabulary), max_size=5))
+    n_seps = len(tokens) + 1
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n_seps, max_size=n_seps))
+    lead = seps[0] if draw(st.booleans()) else ""
+    trail = draw(st.sampled_from(["", "", " ", "\r", "\t"]))
+    return lead + "".join(tok + sep for tok, sep in zip(tokens, seps[1:])).rstrip(" ") + trail
+
+
+@st.composite
+def token_soup(draw):
+    bad_first = st.sampled_from([" qadd 1\r", "qadd 2", "qadd  1"])
+    first = MAGIC if draw(st.integers(0, 7)) else draw(bad_first)
+    lines = draw(st.lists(token_lines(), max_size=12))
+    if draw(st.integers(0, 4)) < 4:
+        lines.insert(0, f"qubits {draw(st.integers(1, 12))}")
+    return "\n".join([first, *lines]) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_soup())
+def test_parser_matches_reference_on_token_soup(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+@st.composite
+def mutated_netlists(draw):
+    drawn = draw(circuits())
+    # role lines are not part of the differential
+    circuit = Circuit(drawn.wire_count, drawn.ancilla, None, drawn.gates)
+    lines = [line.split(" ") for line in export_netlist(circuit).split("\n")]
+    # Any line but the format line, which the token soup fuzzes; drawn from
+    # both ends, so gate lines are hit as often as the header.
+    rows = st.integers(1, len(lines) - 1)
+    row = draw(st.one_of(rows, rows.map(lambda i: len(lines) - i)))
+    tokens = lines[row]
+    col = draw(st.integers(0, len(tokens)))
+    new = draw(st.sampled_from(OPCODES + NUMBERS + JUNK + ["", "qubits", "ancilla", "\t", "\r"]))
+    action = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if action == "insert":
+        tokens.insert(col, new)
+    elif col < len(tokens):
+        if action == "replace":
+            tokens[col] = new
+        else:
+            del tokens[col]
+    return "\n".join(" ".join(tokens) for tokens in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_netlists())
+def test_parser_matches_reference_on_mutated_exports(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+NETLIST_ALPHABET = st.sampled_from(
+    list("0123456789 \t\r\n#") + OPCODES + ["qubits", "ancilla", "role", "²", "١", "\x0b", "é"]
+)
+
+
+@st.composite
+def any_text(draw):
+    body = draw(st.one_of(st.text(), st.lists(NETLIST_ALPHABET, max_size=60).map("".join)))
+    header = f"{MAGIC}\nqubits 6\n"
+    prefix = draw(st.sampled_from(["", f"{MAGIC}\n", header, f"{header}x 0\n"]))
+    return prefix + body
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_text())
+def test_parse_returns_a_round_tripping_circuit_or_raises_netlist_error(text):
+    try:
+        circuit = parse_netlist(text)
+    except NetlistError:
+        return
+    assert parse_netlist(export_netlist(circuit)) == circuit
