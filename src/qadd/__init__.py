@@ -33,6 +33,7 @@ from .ripple import (
     interleaved_layout,
     maj_fragment,
     ripple_add_gates,
+    ripple_closed_forms,
     synth_ripple,
 )
 from .blocked import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, _ccx, _check_wires, _cx, _x
-from .ripple import adder_first_half_gates
+from .ripple import _first_half, ripple_roles, ripple_wires
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
     if w < 2 or len(a) != w:
         raise ValueError("block width must be >= 2 with equal registers")
     _check_wires(b, a, (g, p))
-    gates = adder_first_half_gates(b, a, g)
+    gates = _first_half(b, a, g)
     gates.append(_cx(a[0], b[0]))
     gates += prefix_and_ladder_gates(conjuncts=b, scratch=a[1:], target=p)
     return gates
@@ -200,8 +200,7 @@ def synth_init(w: int) -> Circuit:
     """
     if w < 2:
         raise ValueError("block width must be >= 2")
-    b = [2 * i for i in range(w)]
-    a = [2 * i + 1 for i in range(w)]
+    b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
     roles = {b[i]: f"B{i}" for i in range(w)}
     roles.update({a[i]: f"A{i}" for i in range(w)})
@@ -228,8 +227,7 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
         roles = {0: "C"}
     else:
         carry = None
-        b = [2 * i for i in range(w)]
-        a = [2 * i + 1 for i in range(w)]
+        b, a, _ = ripple_wires(w)
         wire_count = 2 * w
         roles = {}
     roles.update({b[i]: f"B{i}" for i in range(w)})
@@ -277,11 +275,10 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     carry tree's scratch wires.
     """
     n, k, m = params.n, params.k, params.blocks
-    b = [2 * i for i in range(n)]
-    a = [2 * i + 1 for i in range(n)]
-    z = 2 * n
-    g_slots = [2 * n + 1 + j for j in range(m - 1)] + [z]
-    p_slots = [2 * n + m + j for j in range(m)]
+    plan = combined_wire_plan(params)
+    b, a, _ = ripple_wires(n)
+    g_slots = plan["g_slots"] + [plan["z"]]
+    p_slots = plan["p_slots"]
 
     def bb(j: int) -> list[int]:
         return b[j * k : (j + 1) * k]
@@ -349,9 +346,7 @@ def synth_combined(params: BlockParams) -> Circuit:
     """
     n, m = params.n, params.blocks
     plan = combined_wire_plan(params)
-    roles = {2 * i: f"B{i}" for i in range(n)}
-    roles.update({2 * i + 1: f"A{i}" for i in range(n)})
-    roles[plan["z"]] = "Z"
+    roles = ripple_roles(n)  # the data wires are laid out as in the ripple adder
     roles.update({w: f"G{j}" for j, w in enumerate(plan["g_slots"])})
     roles.update({w: f"P{j}" for j, w in enumerate(plan["p_slots"])})
     roles.update({w: f"S{i}" for i, w in enumerate(plan["scratch"])})

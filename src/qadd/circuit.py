@@ -9,7 +9,7 @@ reported statistics are always consistent with the gate list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -184,18 +184,7 @@ class CircuitStats:
         return self.count_toffoli + self.count_gen_toffoli
 
     def to_json_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "toffoli_depth": self.toffoli_depth,
-            "size": self.size,
-            "count_not": self.count_not,
-            "count_cnot": self.count_cnot,
-            "count_toffoli": self.count_toffoli,
-            "count_fanout": self.count_fanout,
-            "count_gen_toffoli": self.count_gen_toffoli,
-            "ancilla_count": self.ancilla_count,
-            "max_fanout_length": self.max_fanout_length,
-        }
+        return asdict(self)
 
 
 class Circuit:

@@ -17,7 +17,7 @@ from .estimator import fanout_adder_cost, shor_dlog_estimate
 from .fanout import synth_fanout_tree
 from .netlist import NetlistError, export_netlist, parse_netlist
 from .oracles import adder_oracle, fanout_oracle
-from .ripple import synth_ripple
+from .ripple import ripple_closed_forms, synth_ripple
 from .sim import (
     EXHAUSTIVE_WIRE_CAP,
     VerifyReport,
@@ -171,15 +171,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-RIPPLE_CLOSED_FORMS = (
-    ("depth", lambda n: 5 * n - 3),
-    ("size", lambda n: 7 * n - 6),
-    ("count_cnot", lambda n: 5 * n - 5),
-    ("count_toffoli", lambda n: 2 * n - 1),
-    ("ancilla_count", lambda n: 0),
-)
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.netlist is not None and args.kind is not None:
         raise UsageError("pass either a netlist file or --kind, not both")
@@ -198,11 +189,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.output)
     if ripple_n is not None and ripple_n >= 3:
         observed = stats.to_json_dict()
-        for key, formula in RIPPLE_CLOSED_FORMS:
-            if observed[key] != formula(ripple_n):
+        for key, expected in ripple_closed_forms(ripple_n).items():
+            if observed[key] != expected:
                 sys.stderr.write(
-                    f"closed-form mismatch: {key} = {observed[key]}, "
-                    f"expected {formula(ripple_n)}\n"
+                    f"closed-form mismatch: {key} = {observed[key]}, expected {expected}\n"
                 )
                 return 1
     return 0

@@ -12,6 +12,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .blocked import BlockParams
+from .ripple import ripple_closed_forms
+
 #: Committed additive constant for the combined adder's Toffoli-depth bound
 #: 14k + 4*log2(n/k) + C.  Every synthesized configuration measures exactly
 #: 14k + 4*log2(n/k) - 10, so the bound holds with C = 0.
@@ -200,12 +203,6 @@ def fanout_adder_cost(
     )
 
 
-def _block_width(d: int) -> int:
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return 1 << (d.bit_length() - 1)
-
-
 def combined_adder_bounds(
     n: int, d: int, consts: ConstantPack = DEFAULT_CONSTANTS
 ) -> CostEstimate:
@@ -216,11 +213,7 @@ def combined_adder_bounds(
     count (14n), ``ancilla`` the ancilla wires (3n/k).  These dominate the
     measured statistics of every synthesized configuration.
     """
-    if n < 8 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 8, got {n}")
-    k = _block_width(d)
-    if n // k < 4:
-        raise ValueError(f"need at least 4 blocks (n={n}, d={d})")
+    k = BlockParams(n, d).k
     ancilla = consts.c_anc * COMBINED_ANCILLA_FACTOR * n / k
     depth = (
         consts.c_depth * (14 * k + 4 * math.log2(n // k)) + COMBINED_DEPTH_CONSTANT
@@ -248,46 +241,38 @@ def shor_dlog_estimate(
 
     The dominant cost is n**2 applications of an n-bit adder inside the
     extended-Euclidean division; the register budget is 4n qubits plus
-    whatever ancilla the chosen adder needs:
+    whatever ancilla the chosen adder needs.  Each adder's depth is read
+    from its own formula with the default constants, and its ancilla from
+    the same formula with ``consts``:
 
-    - ripple: no ancilla, adder depth 5n-3;
-    - combined(d): 3n/k ancilla, adder depth 14k + 4*log2(n/k);
-    - fanout(e, f): n*log**(n)/e ancilla, adder depth e.
+    - ripple: ``ripple_closed_forms`` (no ancilla, depth 5n-3);
+    - combined(d): ``combined_adder_bounds``, so n must be a power of two
+      that a synthesized combined adder exists for;
+    - fanout(e, f): ``fanout_adder_cost``.
 
-    qubits = 4n + c_anc * ancilla, depth = c_depth * n**2 * adder_depth,
+    qubits = 4n + ancilla, depth = c_depth * n**2 * adder_depth,
     size = c_size * n**3.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if adder == "ripple":
-        ancilla = 0.0
-        adder_depth = 5 * n - 3
+        forms = ripple_closed_forms(n)
+        ancilla = consts.c_anc * forms["ancilla_count"]
+        adder_depth = forms["depth"]
     elif adder == "combined":
         if d is None:
             raise ValueError("combined adder needs d")
-        k = _block_width(d)
-        if n % k or n // k < 4:
-            raise ValueError(f"invalid combined parameters (n={n}, d={d})")
-        ancilla = consts.c_anc * COMBINED_ANCILLA_FACTOR * n / k
-        adder_depth = 14 * k + 4 * math.log2(n // k)
+        ancilla = combined_adder_bounds(n, d, consts).ancilla
+        adder_depth = combined_adder_bounds(n, d).depth
     elif adder == "fanout":
         if e is None or f is None:
             raise ValueError("fanout adder needs e and f")
-        if f < 2:
-            raise ValueError("need f >= 2")
-        if e < log_star(n):
-            raise ValueError(f"depth parameter e={e} below log*(n)={log_star(n)}")
-        ancilla = consts.c_anc * n * log_star_star(n) / e
-        adder_depth = e
+        ancilla = fanout_adder_cost(n, e, f, consts).ancilla
+        adder_depth = fanout_adder_cost(n, e, f).depth
     else:
         raise ValueError(f"unknown adder {adder!r}")
-    params: dict = {"n": n, "adder": adder}
-    if d is not None:
-        params["d"] = d
-    if e is not None:
-        params["e"] = e
-    if f is not None:
-        params["f"] = f
+    params = {"n": n, "adder": adder}
+    params.update((k, v) for k, v in (("d", d), ("e", e), ("f", f)) if v is not None)
     return CostEstimate(
         formula_id=f"shor-dlog+{adder}",
         qubits_total=4 * n + ancilla,

@@ -68,19 +68,31 @@ def export_netlist(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_tokens(tokens: list[str], lineno: int, line: str) -> list[int]:
+def _column(line: str, index: int) -> int:
+    """1-based column of token ``index`` of ``line.split()``: each token is
+    found from the end of the one before it, past only whitespace."""
+    tokens = line.split()
+    pos = 0
+    for tok in tokens[:index]:
+        pos = line.index(tok, pos) + len(tok)
+    return line.index(tokens[index], pos) + 1
+
+
+def _int_tokens(tokens: list[str], lineno: int, line: str, first: int) -> list[int]:
     """Convert wire-id tokens, raising ``NetlistError`` at the first bad one:
-    not all ASCII digits, or too long for ``int``."""
+    not all ASCII digits, or too long for ``int``.  ``tokens[0]`` is token
+    ``first`` of ``line.split()``, which locates a bad token's column (no
+    earlier token equals the first bad one, or it would have been bad)."""
     out = []
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
-            raise NetlistError(lineno, line.index(tok) + 1, f"expected wire id, got {tok!r}")
+            column = _column(line, first + tokens.index(tok))
+            raise NetlistError(lineno, column, f"expected wire id, got {tok!r}")
         try:
             out.append(int(tok))
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise NetlistError(
-                lineno, line.index(tok) + 1, f"wire id of {len(tok)} digits is too long"
-            ) from None
+            column = _column(line, first + tokens.index(tok))
+            raise NetlistError(lineno, column, f"wire id of {len(tok)} digits is too long") from None
     return out
 
 
@@ -115,7 +127,7 @@ def parse_netlist(text: str) -> Circuit:
                     raise ValueError(digits)
                 ids = tuple(map(int, tokens))
             except ValueError:  # a bad token, or one longer than int() reads
-                _int_tokens(tokens, lineno, raw)  # raises at that token
+                _int_tokens(tokens, lineno, raw, 1)  # raises at that token
                 raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
             kind, cut, arity = spec
             n = len(ids)
@@ -142,7 +154,7 @@ def parse_netlist(text: str) -> Circuit:
                     raise NetlistError(lineno, 1, "role line after gates")
                 if len(tokens) != 4:
                     raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
-                (wire,) = _int_tokens(tokens[2:3], lineno, raw)
+                (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)
                 label = tokens[3]
                 if wire in roles:
                     raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
@@ -157,7 +169,7 @@ def parse_netlist(text: str) -> Circuit:
         if head == "qubits":
             if wire_count is not None:
                 raise NetlistError(lineno, 1, "duplicate qubits line")
-            ids = _int_tokens(tokens[1:], lineno, raw)
+            ids = _int_tokens(tokens[1:], lineno, raw, 1)
             if len(ids) != 1 or ids[0] < 1:
                 raise NetlistError(lineno, 1, "qubits line needs one positive count")
             if ids[0] > WIRE_CAP:
@@ -174,7 +186,7 @@ def parse_netlist(text: str) -> Circuit:
             if gates:
                 raise NetlistError(lineno, 1, "ancilla line after gates")
             seen_ancilla = True
-            ancilla = _int_tokens(tokens[1:], lineno, raw)
+            ancilla = _int_tokens(tokens[1:], lineno, raw, 1)
             bad = [w for w in ancilla if w >= wire_count]
             if bad:
                 raise NetlistError(lineno, 1, f"ancilla wire {bad[0]} out of range")

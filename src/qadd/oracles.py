@@ -2,21 +2,24 @@
 
 Oracles are written from the defining recurrences (carry = majority,
 propagate = XOR chain, generate = AND), never from the gate-level
-constructions they are used to check.  Each factory returns a pair
-``(per_case, packed)``: the per-case form maps one full-width bit state to
-the expected output state, the packed form does the same on bit columns
-(one int per wire, bit c = case c).  Both read wire positions from the
-circuit's role map, so they are independent of wire-id conventions.
+constructions they are used to check.  Each oracle is written once, in
+packed form: it maps bit columns (one int per wire, bit c = case c) to the
+expected output columns, reading wire positions from the circuit's role
+map, so it is independent of wire-id conventions.  Each factory returns a
+pair ``(per_case, packed)``; the per-case form, which maps one full-width
+bit state to the expected output state, is derived from the packed one as
+a one-case run.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .circuit import Circuit
+from .sim import Oracle as PerCase, PackedOracle as Packed
 
-PerCase = Callable[[list[int]], list[int]]
-Packed = Callable[[list[int], int], list[int]]
+
+def _pair(packed: Packed) -> tuple[PerCase, Packed]:
+    """The factories' ``(per_case, packed)`` pair: one state is one case."""
+    return (lambda state: packed(list(state), 1)), packed
 
 
 def _roles(circuit: Circuit, prefix: str) -> list[int]:
@@ -36,18 +39,6 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     z = circuit.wires_by_role()["Z"]
     n = len(b)
 
-    def per_case(state: list[int]) -> list[int]:
-        av = sum(state[a[i]] << i for i in range(n))
-        bv = sum(state[b[i]] << i for i in range(n))
-        s = av + bv
-        out = list(state)
-        for i in range(n):
-            out[b[i]] = (s >> i) & 1
-        out[z] = state[z] ^ ((s >> n) & 1)
-        for w in circuit.ancilla:
-            out[w] = 0
-        return out
-
     def packed(cols: list[int], n_cases: int) -> list[int]:
         out = list(cols)
         carry = 0
@@ -60,7 +51,7 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
             out[w] = 0
         return out
 
-    return per_case, packed
+    return _pair(packed)
 
 
 def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
@@ -82,11 +73,7 @@ def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
         out[z] = cols[z] ^ carry
         return out
 
-    def per_case(state: list[int]) -> list[int]:
-        cols = list(state)
-        return packed(cols, 1)
-
-    return per_case, packed
+    return _pair(packed)
 
 
 def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
@@ -113,10 +100,7 @@ def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
         out[p] = cols[p] ^ prefix
         return out
 
-    def per_case(state: list[int]) -> list[int]:
-        return packed(list(state), 1)
-
-    return per_case, packed
+    return _pair(packed)
 
 
 def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
@@ -135,10 +119,7 @@ def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
             d = (aj & bj) | (d & (aj ^ bj))
         return out
 
-    def per_case(state: list[int]) -> list[int]:
-        return packed(list(state), 1)
-
-    return per_case, packed
+    return _pair(packed)
 
 
 def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
@@ -158,10 +139,7 @@ def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
             out[w] = 0
         return out
 
-    def per_case(state: list[int]) -> list[int]:
-        return packed(list(state), 1)
-
-    return per_case, packed
+    return _pair(packed)
 
 
 def fanout_oracle(
@@ -176,7 +154,4 @@ def fanout_oracle(
             out[t] = cols[t] ^ src
         return out
 
-    def per_case(state: list[int]) -> list[int]:
-        return packed(list(state), 1)
-
-    return per_case, packed
+    return _pair(packed)

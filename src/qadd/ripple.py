@@ -3,8 +3,9 @@
 The circuit maps ``|b>|a> |z>``  to  ``|s> |a> |z ^ s_n>`` where
 ``s = a + b`` as an (n+1)-bit integer, keeping every carry in the wire
 that initially stores the corresponding ``a`` bit.  For n >= 3 the exact
-counts are: depth 5n-3, size 7n-6, 5n-5 CNOTs, 2n-1 Toffolis, and under
-the interleaved line layout no gate spans more than 3 adjacent positions.
+counts are: depth 5n-3, size 7n-6, 5n-5 CNOTs, 2n-1 Toffolis (see
+``ripple_closed_forms``), and under the interleaved line layout no gate
+spans more than 3 adjacent positions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,25 @@ def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
     return [_cx(a, c), _cx(a, b), _ccx(c, b, a)]
 
 
+def _check_registers(b: list[int], a: list[int], extra: int) -> None:
+    if len(b) < 1 or len(a) != len(b):
+        raise ValueError("need two registers of equal positive width")
+    _check_wires(b, a, (extra,))
+
+
+def _first_half(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
+    """Steps 1-3 of the ripple adder on wires the caller has checked."""
+    n = len(b)
+    aa = list(a) + [carry_out]  # aa[n] holds the carry-out wire
+    # step 1: fold a into b (bit 0 excluded; its carry-in is 0)
+    gates = [_cx(aa[i], b[i]) for i in range(1, n)]
+    # step 2: downward CNOT chain prepares a_i ^ a_{i-1}
+    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
+    # step 3: upward Toffoli chain turns those into a_i ^ c_i
+    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
+    return gates
+
+
 def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
     """Gate list for the six-step ripple adder on explicit wires.
 
@@ -28,18 +48,10 @@ def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
     high carry.  For n in {1, 2} some steps have empty ranges; the circuit
     is still a correct adder there.
     """
+    _check_registers(b, a, z)
     n = len(b)
-    if n < 1 or len(a) != n:
-        raise ValueError("need two registers of equal positive width")
-    _check_wires(b, a, (z,))
     aa = list(a) + [z]  # aa[n] holds z
-    gates: list[Gate] = []
-    # step 1: fold a into b (bit 0 excluded; its carry-in is 0)
-    gates += [_cx(aa[i], b[i]) for i in range(1, n)]
-    # step 2: downward CNOT chain prepares a_i ^ a_{i-1}
-    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
-    # step 3: upward Toffoli chain turns those into a_i ^ c_i
-    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
+    gates = _first_half(b, a, z)
     # step 4: fold carries into b while unwinding the carry chain
     for i in range(n - 1, 0, -1):
         gates.append(_cx(aa[i], b[i]))
@@ -59,16 +71,22 @@ def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[G
     XORs the full carry c_n into ``carry_out``.  Contains exactly n
     Toffoli gates.
     """
-    n = len(b)
-    if n < 1 or len(a) != n:
-        raise ValueError("need two registers of equal positive width")
-    _check_wires(b, a, (carry_out,))
-    aa = list(a) + [carry_out]
-    gates: list[Gate] = []
-    gates += [_cx(aa[i], b[i]) for i in range(1, n)]
-    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
-    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
-    return gates
+    _check_registers(b, a, carry_out)
+    return _first_half(b, a, carry_out)
+
+
+def ripple_closed_forms(n: int) -> dict[str, int]:
+    """Exact statistics of ``synth_ripple(n)`` for n >= 3, keyed as in
+    ``CircuitStats.to_json_dict``."""
+    if n < 3:
+        raise ValueError(f"the ripple closed forms hold for n >= 3, got {n}")
+    return {
+        "depth": 5 * n - 3,
+        "size": 7 * n - 6,
+        "count_cnot": 5 * n - 5,
+        "count_toffoli": 2 * n - 1,
+        "ancilla_count": 0,
+    }
 
 
 def ripple_wires(n: int) -> tuple[list[int], list[int], int]:

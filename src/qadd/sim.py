@@ -1,12 +1,13 @@
 """Classical bit-vector semantics and verification harnesses.
 
 Every supported gate permutes computational basis states, so a circuit is
-fully characterized by its action on classical bit assignments.  The
-public ``apply_gate``/``run`` functions operate on one state (a list of
-0/1 ints, one per wire).  The verification harnesses internally pack many
-independent cases into Python integers, one column per wire with bit ``c``
-holding that wire's value in case ``c``, so a single pass over the gate
-list simulates every case at once.
+fully characterized by its action on classical bit assignments.
+``run_packed`` is the one gate interpreter: it packs independent cases into
+Python integers, one column per wire with bit ``c`` holding that wire's
+value in case ``c``, and simulates them all in one pass over the gates.  A
+single state (one 0/1 int per wire) is a one-case packed run whose columns
+are its bits; ``run`` and ``apply_gate`` are just that, and a per-case
+oracle is made packed before it is checked.
 """
 
 from __future__ import annotations
@@ -62,32 +63,11 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 def apply_gate(state: Sequence[int], gate: Gate) -> BitState:
     """Apply one gate to a bit state; returns a new state."""
-    out = list(state)
-    kind, controls, targets = gate
-    for w in controls + targets:
-        if w >= len(out):
-            raise ValueError(f"gate operand {w} out of range for state of {len(out)} wires")
-    if kind is GateKind.NOT:
-        out[targets[0]] ^= 1
-    elif kind is GateKind.CNOT:
-        out[targets[0]] ^= out[controls[0]]
-    elif kind is GateKind.TOFFOLI:
-        c1, c2 = controls
-        out[targets[0]] ^= out[c1] & out[c2]
-    elif kind is GateKind.FANOUT:
-        src = out[controls[0]]
-        for t in targets:
-            out[t] ^= src
-    else:  # GEN_TOFFOLI
-        acc = 1
-        for c in controls:
-            acc &= out[c]
-        out[targets[0]] ^= acc
-    return out
+    return run_packed(Circuit(len(state), gates=(gate,)), state, 1)
 
 
 def run(circuit: Circuit, state: Sequence[int]) -> BitState:
-    """Run a circuit on one bit state.
+    """Run a circuit on one bit state, as a one-case packed run.
 
     Rejects inputs whose ancilla wires are nonzero rather than silently
     accepting them.
@@ -99,25 +79,7 @@ def run(circuit: Circuit, state: Sequence[int]) -> BitState:
     bad = [w for w in circuit.ancilla if state[w]]
     if bad:
         raise ValueError(f"ancilla wires {sorted(bad)} must be 0 on input")
-    out = list(state)
-    for kind, controls, targets in circuit.gates:
-        if kind is GateKind.NOT:
-            out[targets[0]] ^= 1
-        elif kind is GateKind.CNOT:
-            out[targets[0]] ^= out[controls[0]]
-        elif kind is GateKind.TOFFOLI:
-            c1, c2 = controls
-            out[targets[0]] ^= out[c1] & out[c2]
-        elif kind is GateKind.FANOUT:
-            src = out[controls[0]]
-            for t in targets:
-                out[t] ^= src
-        else:
-            acc = 1
-            for c in controls:
-                acc &= out[c]
-            out[targets[0]] ^= acc
-    return out
+    return run_packed(circuit, state, 1)
 
 
 def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[int]:
@@ -278,23 +240,13 @@ def _iter_set_bits(mask: int, limit: int) -> list[int]:
     return out
 
 
-def _check_columns(
-    circuit: Circuit,
-    in_cols: list[int],
-    n_cases: int,
-    oracle: Oracle | None,
-    packed_oracle: PackedOracle | None,
-    seed: int | None,
-) -> VerifyReport:
-    if oracle is None and packed_oracle is None:
-        raise ValueError("need an oracle or a packed oracle")
+def _packed_from_per_case(circuit: Circuit, oracle: Oracle) -> PackedOracle:
+    """Packed form of a per-case oracle: it calls ``oracle`` once per case
+    and keeps its data-wire bits (ancilla columns come out 0)."""
     wc = circuit.wire_count
-    out_cols = run_packed(circuit, in_cols, n_cases)
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
 
-    if packed_oracle is not None:
-        exp_cols = packed_oracle(list(in_cols), n_cases)
-    else:
+    def packed(in_cols: list[int], n_cases: int) -> list[int]:
         # Set each expected bit in a per-wire byte buffer and convert once,
         # which keeps this linear in the case count.
         in_bufs = [_column_bytes(c, n_cases) for c in in_cols]
@@ -305,7 +257,27 @@ def _check_columns(
             for w in data_wires:
                 if expected[w]:
                     exp_bufs[w][byte] |= bit
-        exp_cols = [int.from_bytes(buf, "little") for buf in exp_bufs]
+        return [int.from_bytes(buf, "little") for buf in exp_bufs]
+
+    return packed
+
+
+def _check_columns(
+    circuit: Circuit,
+    in_cols: list[int],
+    n_cases: int,
+    oracle: Oracle | None,
+    packed_oracle: PackedOracle | None,
+    seed: int | None,
+) -> VerifyReport:
+    if packed_oracle is None:
+        if oracle is None:
+            raise ValueError("need an oracle or a packed oracle")
+        packed_oracle = _packed_from_per_case(circuit, oracle)
+    wc = circuit.wire_count
+    out_cols = run_packed(circuit, in_cols, n_cases)
+    data_wires = [w for w in range(wc) if w not in circuit.ancilla]
+    exp_cols = packed_oracle(list(in_cols), n_cases)
 
     diff = 0
     for w in data_wires:

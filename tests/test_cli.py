@@ -200,3 +200,17 @@ def test_stats_rejects_oversized_netlist(tmp_path, capsys):
     code, out, err = run_cli(capsys, "stats", str(path))
     assert code == 2
     assert "line 2" in err and "cap" in err and not out
+
+
+def test_stats_checks_ripple_closed_forms_at_1024(capsys):
+    code, out, err = run_cli(capsys, "stats", "--kind", "ripple", "--n", "1024", "--json")
+    assert code == 0 and not err
+    assert json.loads(out)["size"] == 7 * 1024 - 6
+
+
+def test_estimate_combined_n_off_a_power_of_two_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "estimate", "--target", "shor-dlog", "--n", "12", "--adder", "combined", "--d", "2"
+    )
+    assert code == 2 and not out
+    assert "power of two" in err

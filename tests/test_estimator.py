@@ -4,7 +4,10 @@ import math
 import pytest
 
 from qadd import (
+    COMBINED_ANCILLA_FACTOR,
+    BlockParams,
     ConstantPack,
+    CostEstimate,
     combined_adder_bounds,
     fanout_adder_cost,
     gcla_cost,
@@ -188,3 +191,116 @@ def test_log_star_is_exact_on_huge_ints():
     assert log_star_star(2**2000) == 4
     assert log_star(2**65536) == 5
     assert log_star(2**65536 + 1) == 6
+
+
+def reference_shor_dlog_estimate(n, adder="ripple", d=None, e=None, f=None, consts=ConstantPack()):
+    """``shor_dlog_estimate`` as it was when it restated each adder's
+    formula, kept as the reference for the one that reads them."""
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
+    if adder == "ripple":
+        ancilla = 0.0
+        adder_depth = 5 * n - 3
+    elif adder == "combined":
+        if d is None:
+            raise ValueError("combined adder needs d")
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
+        k = 1 << (d.bit_length() - 1)
+        if n % k or n // k < 4:
+            raise ValueError(f"invalid combined parameters (n={n}, d={d})")
+        ancilla = consts.c_anc * COMBINED_ANCILLA_FACTOR * n / k
+        adder_depth = 14 * k + 4 * math.log2(n // k)
+    elif adder == "fanout":
+        if e is None or f is None:
+            raise ValueError("fanout adder needs e and f")
+        if f < 2:
+            raise ValueError("need f >= 2")
+        if e < log_star(n):
+            raise ValueError(f"depth parameter e={e} below log*(n)={log_star(n)}")
+        ancilla = consts.c_anc * n * log_star_star(n) / e
+        adder_depth = e
+    else:
+        raise ValueError(f"unknown adder {adder!r}")
+    params: dict = {"n": n, "adder": adder}
+    if d is not None:
+        params["d"] = d
+    if e is not None:
+        params["e"] = e
+    if f is not None:
+        params["f"] = f
+    return CostEstimate(
+        formula_id=f"shor-dlog+{adder}",
+        qubits_total=4 * n + ancilla,
+        ancilla=ancilla,
+        depth=consts.c_depth * n * n * adder_depth,
+        size=consts.c_size * n ** 3,
+        params=params,
+        constants=consts,
+    )
+
+
+def _json_or_error(estimate, *args, **kwargs):
+    try:
+        return estimate(*args, **kwargs).to_json()
+    except ValueError:
+        return ValueError
+
+
+# n = 4..299 and every power of two up to 2048 with its neighbours and
+# three times it, so every d and e below meets accepted and rejected n.
+_GRID_NS = sorted(
+    set(range(4, 300))
+    | {v for j in range(3, 12) for v in ((1 << j) - 1, 1 << j, (1 << j) + 1, 3 << j)}
+)
+
+
+@pytest.mark.parametrize(
+    "consts",
+    [ConstantPack(), ConstantPack(2.5, 0.5, 3.0, 1.5), ConstantPack(0.1, 7, 0.3, 2)],
+    ids=["default", "scaled", "mixed"],
+)
+def test_shor_dlog_estimate_matches_reference(consts):
+    requests = [("ripple", {})]
+    requests += [("combined", {"d": d}) for d in range(2, 40)]
+    requests += [("fanout", {"e": e, "f": f}) for e in range(1, 7) for f in (1, 2, 4)]
+    rejected = 0
+    for n in _GRID_NS:
+        for adder, kwargs in requests:
+            want = _json_or_error(reference_shor_dlog_estimate, n, adder, consts=consts, **kwargs)
+            got = _json_or_error(shor_dlog_estimate, n, adder, consts=consts, **kwargs)
+            if adder == "combined" and n & (n - 1):
+                # No combined adder is synthesized for n off a power of two.
+                assert got is ValueError, (n, kwargs)
+                rejected += want is not ValueError
+            else:
+                assert got == want, (n, adder, kwargs)
+    assert rejected  # the grid does reach n the old code accepted
+
+
+def test_shor_dlog_rejects_combined_n_off_a_power_of_two():
+    assert reference_shor_dlog_estimate(12, "combined", d=2).depth % 1  # fractional
+    with pytest.raises(ValueError, match="power of two"):
+        shor_dlog_estimate(12, "combined", d=2)
+
+
+def test_shor_dlog_adder_depths_read_the_adder_formulas():
+    consts = ConstantPack(c_depth=3.0, c_anc=2.0)
+    n = 256
+    for adder, kwargs, bound in [
+        ("combined", {"d": 16}, combined_adder_bounds(n, 16)),
+        ("fanout", {"e": 8, "f": 4}, fanout_adder_cost(n, 8, 4)),
+    ]:
+        scaled = shor_dlog_estimate(n, adder, consts=consts, **kwargs)
+        assert scaled.depth == 3.0 * n * n * bound.depth
+        assert scaled.ancilla == 2.0 * bound.ancilla
+
+
+@pytest.mark.parametrize("n,d", [(12, 2), (8, 1), (64, 32), (2048, 1024), (4, 2)])
+def test_combined_adder_bounds_validates_like_block_params(n, d):
+    with pytest.raises(ValueError) as bounds_err:
+        combined_adder_bounds(n, d)
+    with pytest.raises(ValueError) as params_err:
+        BlockParams(n, d)
+    assert str(bounds_err.value) == str(params_err.value)
+

@@ -212,6 +212,22 @@ def test_bad_token_column():
     assert err.column == 9
 
 
+@pytest.mark.parametrize(
+    "body,lineno,column",
+    [
+        ("qubits 4\ncx 0 c\n", 3, 6),  # 'c' also occurs in the opcode
+        ("qubits 4\nancilla 1 a\n", 3, 11),  # 'a' also occurs in 'ancilla'
+        ("qubits 4\n# role r B0\n", 3, 8),  # 'r' also occurs in 'role'
+        ("qubits q\n", 2, 8),  # 'q' also occurs in 'qubits'
+        ("qubits 4\n\tfo  1 0 1x\n", 3, 10),
+        ("qubits 4\nx 0\ncx 1 " + "1" * 5000 + "\n", 4, 6),  # too long for int
+    ],
+)
+def test_bad_token_column_is_its_own(body, lineno, column):
+    err = _expect_error("qadd 1\n" + body, lineno, "")
+    assert err.column == column
+
+
 def test_leading_zeros_tabs_and_carriage_returns():
     c = parse_netlist("qadd 1\r\nqubits\t004\r\nancilla 03\r\n\tccx 000 1\t2 \r\n")
     assert c == Circuit(4, {3}, gates=[ccx(0, 1, 2)])

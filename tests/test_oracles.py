@@ -146,3 +146,21 @@ def test_combined_uses_same_contract_as_ripple():
     out = per(state)
     assert sum(out[by_role[f"B{i}"]] << i for i in range(8)) == 255
     assert out[by_role["Z"]] == 0
+
+
+def test_adder_per_case_matches_integer_addition():
+    # the per-case form is derived from the packed one; pin it to integers
+    for n in (1, 2, 3):
+        c = synth_ripple(n)
+        per_case, _ = adder_oracle(c)
+        by_role = c.wires_by_role()
+        for case in range(1 << c.wire_count):
+            state = [(case >> w) & 1 for w in range(c.wire_count)]
+            a = sum(state[by_role[f"A{i}"]] << i for i in range(n))
+            b = sum(state[by_role[f"B{i}"]] << i for i in range(n))
+            s = a + b
+            out = per_case(state)
+            assert sum(out[by_role[f"B{i}"]] << i for i in range(n)) == s % (1 << n)
+            assert out[by_role["Z"]] == state[by_role["Z"]] ^ (s >> n)
+            assert [out[by_role[f"A{i}"]] for i in range(n)] == [(a >> i) & 1 for i in range(n)]
+

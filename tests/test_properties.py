@@ -2,7 +2,8 @@
 
 They guard the readers that unpack gates (``export_netlist``,
 ``parse_netlist``, ``run``, ``run_packed``, ``compute_stats``) against each
-other.
+other.  ``run`` is now a one-case ``run_packed``, so the kernel is checked
+against ``reference_run``, the scalar interpreter ``run`` used to be.
 """
 
 from hypothesis import given, settings
@@ -24,6 +25,37 @@ from qadd import (
 )
 
 MAX_WIRES = 10
+
+
+def reference_run(circuit, state):
+    """The scalar per-gate interpreter ``qadd.run`` was before it became a
+    one-case packed run, kept as the reference for ``run_packed``."""
+    if len(state) != circuit.wire_count:
+        raise ValueError(
+            f"state has {len(state)} wires, circuit has {circuit.wire_count}"
+        )
+    bad = [w for w in circuit.ancilla if state[w]]
+    if bad:
+        raise ValueError(f"ancilla wires {sorted(bad)} must be 0 on input")
+    out = list(state)
+    for kind, controls, targets in circuit.gates:
+        if kind is GateKind.NOT:
+            out[targets[0]] ^= 1
+        elif kind is GateKind.CNOT:
+            out[targets[0]] ^= out[controls[0]]
+        elif kind is GateKind.TOFFOLI:
+            c1, c2 = controls
+            out[targets[0]] ^= out[c1] & out[c2]
+        elif kind is GateKind.FANOUT:
+            src = out[controls[0]]
+            for t in targets:
+                out[t] ^= src
+        else:
+            acc = 1
+            for c in controls:
+                acc &= out[c]
+            out[targets[0]] ^= acc
+    return out
 
 
 @st.composite
@@ -75,6 +107,30 @@ def test_run_matches_run_packed_column_wise(circuit, data):
     for case in range(n_cases):
         state = [(col >> case) & 1 for col in cols]
         assert run(circuit, state) == [(col >> case) & 1 for col in out_cols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(with_ancilla=False), st.data())
+def test_run_packed_matches_reference_run_column_wise(circuit, data):
+    n_cases = data.draw(st.integers(1, 70))
+    wc = circuit.wire_count
+    cols = data.draw(st.lists(st.integers(0, (1 << n_cases) - 1), min_size=wc, max_size=wc))
+    out_cols = run_packed(circuit, cols, n_cases)
+    for case in range(n_cases):
+        state = [(col >> case) & 1 for col in cols]
+        assert reference_run(circuit, state) == [(col >> case) & 1 for col in out_cols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(), st.data())
+def test_circuit_then_inverse_is_identity(circuit, data):
+    n_cases = data.draw(st.integers(1, 70))
+    wc = circuit.wire_count
+    cols = data.draw(st.lists(st.integers(0, (1 << n_cases) - 1), min_size=wc, max_size=wc))
+    inverse = circuit.inverse()
+    assert run_packed(inverse, run_packed(circuit, cols, n_cases), n_cases) == cols
+    assert run_packed(circuit, run_packed(inverse, cols, n_cases), n_cases) == cols
+    assert inverse.inverse() == circuit
 
 
 @settings(max_examples=150, deadline=None)

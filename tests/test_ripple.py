@@ -5,12 +5,13 @@ from qadd import (
     build_circuit,
     compute_stats,
     max_window_span,
+    ripple_closed_forms,
     run,
     synth_ripple,
     verify_exhaustive,
 )
 from qadd.oracles import adder_oracle, first_half_oracle
-from qadd.ripple import adder_first_half_gates, interleaved_layout, maj_fragment
+from qadd.ripple import adder_first_half_gates, interleaved_layout, maj_fragment, ripple_add_gates
 
 
 def _maj(a, b, c):
@@ -111,3 +112,31 @@ def test_first_half_toffoli_count():
     w = 5
     gates = adder_first_half_gates([2 * i for i in range(w)], [2 * i + 1 for i in range(w)], 2 * w)
     assert sum(1 for g in gates if len(g.controls) == 2) == w
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 100, 1024])
+def test_ripple_closed_forms_match_stats(n):
+    observed = compute_stats(synth_ripple(n)).to_json_dict()
+    forms = ripple_closed_forms(n)
+    assert forms == {key: observed[key] for key in forms}
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_ripple_closed_forms_need_n_at_least_3(n):
+    with pytest.raises(ValueError, match="n >= 3"):
+        ripple_closed_forms(n)
+
+
+@pytest.mark.parametrize(
+    "b,a,extra",
+    [([], [], 0), ([0, 1], [2], 3), ([0, 1], [2, 0], 4), ([0], [1], 1), ([-1], [1], 2)],
+)
+def test_ripple_gate_lists_check_their_wires(b, a, extra):
+    for build in (ripple_add_gates, adder_first_half_gates):
+        with pytest.raises(ValueError):
+            build(b, a, extra)
+
+
+def test_ripple_add_gates_start_with_the_first_half():
+    b, a, z = [2 * i for i in range(6)], [2 * i + 1 for i in range(6)], 12
+    assert ripple_add_gates(b, a, z)[: 3 * 6 - 2] == adder_first_half_gates(b, a, z)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qadd import (
     BlockParams,
     Circuit,
+    GateKind,
     apply_gate,
     build_circuit,
     ccx,
@@ -59,6 +60,23 @@ def test_apply_gate_toffoli_needs_both_controls():
 def test_apply_gate_range_check():
     with pytest.raises(ValueError):
         apply_gate([0, 1], ccx(0, 1, 2))
+
+
+def test_apply_gate_rejects_a_non_gate():
+    with pytest.raises(TypeError):
+        apply_gate([0, 1], (GateKind.CNOT, (0,), (1,)))
+
+
+def test_apply_gate_chain_matches_run():
+    c = synth_combined(BlockParams(8, 2))
+    state = [0] * c.wire_count
+    for i in range(8):
+        state[c.wires_by_role()[f"A{i}"]] = (201 >> i) & 1
+        state[c.wires_by_role()[f"B{i}"]] = (93 >> i) & 1
+    folded = state
+    for gate in c.gates:
+        folded = apply_gate(folded, gate)
+    assert folded == run(c, state)
 
 
 def test_run_empty_is_identity():
