@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, _ccx, _check_wires, _cx, _x
+from .circuit import Circuit, Gate, _ccx, _check_wires, _collector_paused, _cx, _x
 from .ripple import _first_half, ripple_roles, ripple_wires
 
 
@@ -192,6 +192,7 @@ def carry_gates(
     return gates, scratch
 
 
+@_collector_paused
 def synth_init(w: int) -> Circuit:
     """Standalone block p/g circuit: wires B_i=2i, A_i=2i+1, G=2w, P=2w+1.
 
@@ -206,11 +207,10 @@ def synth_init(w: int) -> Circuit:
     roles.update({a[i]: f"A{i}" for i in range(w)})
     roles[g] = "G"
     roles[p] = "P"
-    circuit = Circuit(2 * w + 2, ancilla=(), role_map=roles)
-    circuit.extend(init_gates(b, a, g, p))
-    return circuit
+    return Circuit._adopt(2 * w + 2, (), roles, init_gates(b, a, g, p), p)
 
 
+@_collector_paused
 def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     """Standalone block sum circuit.
 
@@ -232,9 +232,7 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
         roles = {}
     roles.update({b[i]: f"B{i}" for i in range(w)})
     roles.update({a[i]: f"A{i}" for i in range(w)})
-    circuit = Circuit(wire_count, ancilla=(), role_map=roles)
-    circuit.extend(sum_gates(b, a, carry))
-    return circuit
+    return Circuit._adopt(wire_count, (), roles, sum_gates(b, a, carry), a[-1])
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
@@ -242,6 +240,7 @@ def carry_tree_scratch_count(n: int, l: int) -> int:
     return sum((n >> t) - 1 for t in range(l, n.bit_length() - 1))
 
 
+@_collector_paused
 def synth_carry(n: int, l: int) -> Circuit:
     """Standalone carry tree for m = n / 2**(l-1) blocks.
 
@@ -262,9 +261,7 @@ def synth_carry(n: int, l: int) -> Circuit:
     roles = {i - 1: f"P{i}" for i in range(1, m)}
     roles.update({g_wires[j]: f"G{j}" for j in range(m)})
     roles.update({w: f"S{i}" for i, w in enumerate(scratch)})
-    circuit = Circuit(2 * m - 1 + len(scratch), ancilla=scratch, role_map=roles)
-    circuit.extend(gates)
-    return circuit
+    return Circuit._adopt(2 * m - 1 + len(scratch), scratch, roles, gates, scratch[-1])
 
 
 def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
@@ -338,6 +335,7 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     }
 
 
+@_collector_paused
 def synth_combined(params: BlockParams) -> Circuit:
     """Full combined adder for ADD_n; same in/out contract as the ripple adder.
 
@@ -351,7 +349,5 @@ def synth_combined(params: BlockParams) -> Circuit:
     roles.update({w: f"P{j}" for j, w in enumerate(plan["p_slots"])})
     roles.update({w: f"S{i}" for i, w in enumerate(plan["scratch"])})
     ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
-    circuit = Circuit(plan["wire_count"], ancilla=ancilla, role_map=roles)
-    for _, gates in combined_step_gates(params):
-        circuit.extend(gates)
-    return circuit
+    gates = [gate for _, section in combined_step_gates(params) for gate in section]
+    return Circuit._adopt(plan["wire_count"], ancilla, roles, gates, plan["scratch"][-1])

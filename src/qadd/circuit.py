@@ -9,6 +9,8 @@ reported statistics are always consistent with the gate list.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import asdict, dataclass
 from enum import Enum
 from operator import itemgetter
@@ -105,9 +107,12 @@ class Gate(tuple):
 
 
 # The synthesizers build gates unchecked, through ``tuple.__new__``: they
-# check the wires they are given once, up front (``_check_wires``), and emit
-# only gates of the right arity.  ``parse_netlist`` does too, after checking
-# each gate line itself.  Everything else goes through ``Gate(...)``.
+# check the wires they are given once, up front (``_check_wires``), emit only
+# gates of the right arity, and hand the list to ``Circuit._adopt``, which
+# checks once that the largest wire they used is below the wire count.
+# ``parse_netlist`` builds and adopts its gates the same way, after checking
+# each gate line where it stands.  Everything else goes through ``Gate(...)``
+# and the per-gate checks of ``Circuit``.
 _new = tuple.__new__
 _NOT, _CNOT, _TOFFOLI, _FANOUT = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FANOUT
 
@@ -126,6 +131,31 @@ def _ccx(c1: int, c2: int, target: int) -> Gate:
 
 def _fo(source: int, targets: tuple[int, ...]) -> Gate:
     return _new(Gate, (_FANOUT, (source,), targets))
+
+
+def _collector_paused(build):
+    """Run the bulk builder ``build`` with the cyclic garbage collector paused.
+
+    Every gate is a new tracked container, so a large build keeps crossing
+    the collector's thresholds, and each full collection walks every live
+    gate.  Gates hold no cycles, so pausing frees nothing later than
+    reference counting does.  The previous state is restored in ``finally``,
+    also when ``build`` raises.  The state is process-wide: a thread that
+    switches the collector off while another thread builds may find it
+    switched back on when that build returns.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def _check_wires(*registers: Iterable[int]) -> None:
@@ -191,9 +221,16 @@ class Circuit:
     """Ordered gate list over a fixed wire set with ancilla bookkeeping.
 
     Circuits are meant to be immutable once synthesis is finished;
-    ``append``/``extend`` are the only mutators and validate every gate
-    against the wire count.  At most ``WIRE_CAP`` wires.  Role labels are
-    unique, non-empty and free of whitespace.
+    ``append``/``extend`` are the only mutators.  At most ``WIRE_CAP``
+    wires.  Role labels are unique, non-empty and free of whitespace.
+
+    Each trust boundary checks once.  ``Circuit(...)``, ``append`` and
+    ``extend`` take parts from any caller, so they check every gate against
+    the wire count and every ancilla wire and role label.  The synthesizers,
+    ``parse_netlist`` and ``inverse`` have checked their parts already, so
+    they go through the private ``_adopt`` instead, which checks only the
+    largest wire the builder used, and the synthesizers and the parser run
+    with the garbage collector paused.
     """
 
     __slots__ = ("wire_count", "ancilla", "role_map", "gates")
@@ -232,6 +269,32 @@ class Circuit:
         self.gates: list[Gate] = []
         self.extend(gates)
 
+    @classmethod
+    def _adopt(
+        cls,
+        wire_count: int,
+        ancilla: Iterable[int],
+        role_map: dict[int, str] | None,
+        gates: list[Gate],
+        top: int,
+    ) -> "Circuit":
+        """A circuit made of parts its builder has already checked.
+
+        ``top`` is the largest wire the builder used; it is checked once
+        against ``wire_count``, and ``wire_count`` against ``WIRE_CAP``.
+        The parts are stored as given, so the caller hands over fresh ones.
+        """
+        if not 0 <= top < wire_count <= WIRE_CAP:
+            raise ValueError(
+                f"wire {top} out of range for {wire_count} wires (cap {WIRE_CAP})"
+            )
+        self = object.__new__(cls)
+        self.wire_count = wire_count
+        self.ancilla = frozenset(ancilla)
+        self.role_map = role_map
+        self.gates = gates
+        return self
+
     def append(self, gate: Gate) -> "Circuit":
         return self.extend((gate,))
 
@@ -249,7 +312,10 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """Reversed gate list; every supported gate is an involution."""
-        return Circuit(self.wire_count, self.ancilla, self.role_map, reversed(self.gates))
+        roles = None if self.role_map is None else dict(self.role_map)
+        return Circuit._adopt(
+            self.wire_count, self.ancilla, roles, self.gates[::-1], self.wire_count - 1
+        )
 
     def stats(self) -> CircuitStats:
         return compute_stats(self)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate, _check_wires, _cx, _fo
+from .circuit import Circuit, Gate, _check_wires, _collector_paused, _cx, _fo
 
 
 def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
@@ -44,6 +44,7 @@ def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]
     return down + [_cx(source, targets[0])] + up
 
 
+@_collector_paused
 def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     """Circuit equivalent to one length-t fan-out from ``source``.
 
@@ -54,6 +55,5 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     """
     targets = tuple(int(w) for w in targets)
     gates = fanout_tree_gates(source, targets, f)
-    circuit = Circuit(max(source, *targets) + 1)
-    circuit.extend(gates)
-    return circuit
+    top = max(source, *targets)
+    return Circuit._adopt(top + 1, (), None, gates, top)

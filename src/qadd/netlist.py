@@ -19,16 +19,17 @@ A role line is checked where it stands: its wire must be in range, and
 its wire and its label must not repeat.  A label is one token with no
 whitespace, the rule ``Circuit`` enforces.  A gate line is validated in
 one pass on that line: ASCII-digit ids, the opcode's arity, pairwise
-distinct operands and every id below the wire count.  The gates are then
-built unchecked and handed to ``Circuit``, whose ``extend`` checks each
-one against the wire count once more.
+distinct operands and every id below the wire count.  Each check is made
+once, there: the gates are built unchecked and the parts are adopted by
+``Circuit`` as they are, with no second pass over the gates, and the parse
+runs with the garbage collector paused.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .circuit import WIRE_CAP, Circuit, Gate, GateKind, _new
+from .circuit import WIRE_CAP, Circuit, Gate, GateKind, _collector_paused, _new
 
 MAGIC = "qadd 1"
 
@@ -96,6 +97,7 @@ def _int_tokens(tokens: list[str], lineno: int, line: str, first: int) -> list[i
     return out
 
 
+@_collector_paused
 def parse_netlist(text: str) -> Circuit:
     lines = text.split("\n")
     if lines[0].strip() != MAGIC:
@@ -198,7 +200,7 @@ def parse_netlist(text: str) -> Circuit:
 
     if wire_count is None:
         raise NetlistError(len(lines), 1, "missing qubits line")
-    del lines  # free the text's lines before Circuit copies the gate list
-    # Every check Circuit makes has been made above, line by line, so this
-    # cannot fail; extend still checks every gate against the wire count.
-    return Circuit(wire_count, ancilla, roles or None, gates)
+    # Every check the public Circuit constructor makes has been made above,
+    # line by line, against this wire count, so the parts are adopted as they
+    # are: the largest wire any line may use is wire_count - 1.
+    return Circuit._adopt(wire_count, ancilla, roles or None, gates, wire_count - 1)

@@ -10,7 +10,7 @@ spans more than 3 adjacent positions.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, _ccx, _check_wires, _cx
+from .circuit import Circuit, Gate, _ccx, _check_wires, _collector_paused, _cx
 
 
 def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
@@ -102,14 +102,13 @@ def ripple_roles(n: int) -> dict[int, str]:
     return roles
 
 
+@_collector_paused
 def synth_ripple(n: int) -> Circuit:
     """Ripple adder over 2n+1 wires (no ancilla)."""
     if n < 1:
         raise ValueError("operand width must be >= 1")
     b, a, z = ripple_wires(n)
-    circuit = Circuit(2 * n + 1, ancilla=(), role_map=ripple_roles(n))
-    circuit.extend(ripple_add_gates(b, a, z))
-    return circuit
+    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), ripple_add_gates(b, a, z), z)
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:

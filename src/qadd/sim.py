@@ -345,6 +345,12 @@ def verify_exhaustive(
     Free wires default to all non-ancilla wires; ancilla wires are fixed to
     0 and checked to end at 0.  Non-free data wires are also fixed to 0.
     Capped at ``EXHAUSTIVE_WIRE_CAP`` free wires.
+
+    ``packed_oracle=`` is the fast path: one call computes every case's
+    expected columns.  A per-case ``oracle=`` costs one Python call and one
+    ``_case_bits`` read, one byte from every input column, per case: on
+    ripple n = 256, 64 000 seeded trials took about 10-11 s that way and
+    0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
     """
     free = _resolve_free(circuit, free_wires)
     if len(free) > EXHAUSTIVE_WIRE_CAP:
@@ -372,6 +378,12 @@ def verify_random(
     input columns is bounded by one chunk of about 2**19 stream bits (at
     least 64 trials).  ``trials * len(free wires)`` is capped at
     ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.
+
+    ``packed_oracle=`` is the fast path: one call computes every case's
+    expected columns.  A per-case ``oracle=`` costs one Python call and one
+    ``_case_bits`` read, one byte from every input column, per case: on
+    ripple n = 256, 64 000 seeded trials took about 10-11 s that way and
+    0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
     """
     free = _resolve_free(circuit, free_wires)
     _check_random_request(trials, len(free))
