@@ -2,8 +2,9 @@
 
 The combined adder splits the n-bit operands into n/k blocks of width
 k = 2**floor(log2(d)) for a requested depth parameter d >= 2.  Each block
-computes its propagate/generate pair (INIT), a parallel-prefix tree turns
-block generates into block-boundary carries (the carry tree), block sums
+computes its propagate/generate pair (INIT; block 0 only its generate, as
+no carry reads its propagate), a parallel-prefix tree turns block
+generates into block-boundary carries (the carry tree), block sums
 are formed with those carries (SUM), and the carries are then uncomputed
 through the bitwise complement of the sum, which generates the same
 carries as the original operands.  The top block's carry slot is the Z
@@ -149,7 +150,7 @@ def carry_gates(
     if len(p_wires) != m:
         raise ValueError("need m propagate slots (index 0 unused)")
     levels = m.bit_length() - 1
-    scratch_count = sum((m >> t) - 1 for t in range(1, levels))
+    scratch_count = carry_tree_scratch_count(m, 1)
     _check_wires(g_wires, p_wires[1:], range(first_scratch, first_scratch + scratch_count))
     p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
     scratch: list[int] = []
@@ -268,8 +269,9 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     """The seven sections of the combined adder as named gate lists.
 
     Wire ids: B_i=2i, A_i=2i+1, Z=2n, per-block generate slots G_j (the top
-    block's slot is Z itself), per-block propagate slots P_j, then the
-    carry tree's scratch wires.
+    block's slot is Z itself), propagate slots P1..P{m-1} (the carry into
+    block i reads only G0 and P1..P{i-1}, so block 0 has no propagate),
+    then the carry tree's scratch wires.
     """
     n, k, m = params.n, params.k, params.blocks
     plan = combined_wire_plan(params)
@@ -283,13 +285,11 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     def ba(j: int) -> list[int]:
         return a[j * k : (j + 1) * k]
 
-    step1: list[Gate] = []
-    for j in range(m):
-        step1 += init_gates(bb(j), ba(j), g_slots[j], p_slots[j])
+    step1 = _first_half(bb(0), ba(0), g_slots[0])
+    for j in range(1, m):
+        step1 += init_gates(bb(j), ba(j), g_slots[j], p_slots[j - 1])
 
-    carry, _ = carry_gates(
-        g_slots, [None] + p_slots[1:], first_scratch=2 * n + 2 * m
-    )
+    carry, scratch = carry_gates(g_slots, [None, *p_slots], first_scratch=plan["scratch"][0])
 
     # step 3: undo step 1 except on the carry slots, which keep their value
     carry_slots = set(g_slots)
@@ -302,10 +302,17 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     step5 = [_x(b[i]) for i in range(n - k)]
 
     # step 6: reverse of steps 1-3 except on the top block's registers; the
-    # complemented sum regenerates the same carries, which zeroes the slots
+    # complemented sum regenerates the same carries, which zeroes the slots.
+    # P{m-1} and the scratch are 0 while the carry tree runs backwards, so
+    # the tree gates with a known-zero control do nothing and are left out
     top = set(bb(m - 1) + ba(m - 1))
-    first_half = step1 + carry + step3
-    step6 = [g for g in reversed(first_half) if top.isdisjoint(g.operands)]
+    step6 = [g for g in reversed(step3) if top.isdisjoint(g.operands)]
+    zero = {p_slots[-1], *scratch}
+    for gate in reversed(carry):
+        if zero.isdisjoint(gate.controls):
+            step6.append(gate)
+            zero.difference_update(gate.targets)
+    step6 += [g for g in reversed(step1) if top.isdisjoint(g.operands)]
 
     step7 = list(step5)
     return [
@@ -324,14 +331,14 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     n, m = params.n, params.blocks
     scratch_count = carry_tree_scratch_count(n, params.l)
     g_slots = [2 * n + 1 + j for j in range(m - 1)]
-    p_slots = [2 * n + m + j for j in range(m)]
-    scratch = [2 * n + 2 * m + i for i in range(scratch_count)]
+    p_slots = [2 * n + m + j for j in range(m - 1)]
+    scratch = [2 * n + 2 * m - 1 + i for i in range(scratch_count)]
     return {
         "z": 2 * n,
         "g_slots": g_slots,
         "p_slots": p_slots,
         "scratch": scratch,
-        "wire_count": 2 * n + 2 * m + scratch_count,
+        "wire_count": 2 * n + 2 * m - 1 + scratch_count,
     }
 
 
@@ -339,14 +346,15 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
 def synth_combined(params: BlockParams) -> Circuit:
     """Full combined adder for ADD_n; same in/out contract as the ripple adder.
 
-    Ancillae: m-1 generate slots, m propagate slots, and the carry tree's
-    scratch wires, 3n/k - log2(n/k) - 2 in total, all restored to 0.
+    Ancillae: m-1 generate slots G0..G{m-2}, m-1 propagate slots
+    P1..P{m-1}, and the carry tree's scratch wires, 3n/k - log2(n/k) - 3
+    in total, all restored to 0.
     """
     n, m = params.n, params.blocks
     plan = combined_wire_plan(params)
     roles = ripple_roles(n)  # the data wires are laid out as in the ripple adder
     roles.update({w: f"G{j}" for j, w in enumerate(plan["g_slots"])})
-    roles.update({w: f"P{j}" for j, w in enumerate(plan["p_slots"])})
+    roles.update({w: f"P{j}" for j, w in enumerate(plan["p_slots"], 1)})
     roles.update({w: f"S{i}" for i, w in enumerate(plan["scratch"])})
     ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
     gates = [gate for _, section in combined_step_gates(params) for gate in section]

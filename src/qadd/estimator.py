@@ -17,7 +17,8 @@ from .ripple import ripple_closed_forms
 
 #: Committed additive constant for the combined adder's Toffoli-depth bound
 #: 14k + 4*log2(n/k) + C.  Every synthesized configuration measures exactly
-#: 14k + 4*log2(n/k) - 10, so the bound holds with C = 0.
+#: 14k + 4*log2(n/k) - 11 (-13 with n/k = 4 blocks), so the bound holds
+#: with C = 0.
 COMBINED_DEPTH_CONSTANT = 0
 
 #: Committed multiplicative bounds for the combined adder (Toffoli-only

@@ -198,15 +198,17 @@ def test_combined_random(n, d):
 
 
 def test_combined_exact_resource_profile():
-    # ancilla = 3m - log2(m) - 2 and Toffoli depth = 14k + 4 log2(n/k) - 10,
-    # the measured constants behind the committed <= bounds
+    # ancilla = 3m - log2(m) - 3, Toffoli count = 14n - 4m - 14k - 9 log2(m) + 7
+    # and Toffoli depth = 14k + 4 log2(n/k) - 11 (-13 at m = 4), the measured
+    # constants behind the committed <= bounds
     for n, d in ((8, 2), (16, 4), (32, 8), (64, 4), (128, 32)):
         p = BlockParams(n, d)
         st = compute_stats(synth_combined(p))
-        m = p.blocks
+        m, k = p.blocks, p.k
         logm = int(math.log2(m))
-        assert st.ancilla_count == 3 * m - logm - 2
-        assert st.toffoli_depth == 14 * p.k + 4 * logm - 10
+        assert st.ancilla_count == 3 * m - logm - 3
+        assert st.count_toffoli == 14 * n - 4 * m - 14 * k - 9 * logm + 7
+        assert st.toffoli_depth == 14 * k + 4 * logm - (13 if m == 4 else 11)
         assert st.count_toffoli <= 14 * n
         assert st.count_gen_toffoli == 0 and st.count_fanout == 0
 
