@@ -356,38 +356,72 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
 
     A gate depends on the most recent earlier gate touching any of its
     operand wires; inputs have depth 0 and every gate adds one layer.
+
+    CNOT and Toffoli, which make up nearly every adder gate, take a direct
+    branch that reads their two or three wires by name; NOT, FANOUT and
+    GEN_TOFFOLI share the generic loop over ``controls + targets``.
     """
     depth_at = [0] * circuit.wire_count
     tdepth_at = [0] * circuit.wire_count
     n_not = n_cnot = n_toffoli = n_fanout = n_gen = 0
     max_fanout = 0
     for kind, controls, targets in circuit.gates:
-        ops = controls + targets
-        d = 0
-        td = 0
-        for w in ops:
-            if depth_at[w] > d:
-                d = depth_at[w]
-            if tdepth_at[w] > td:
-                td = tdepth_at[w]
-        d += 1
-        if kind is GateKind.CNOT:
+        if kind is _CNOT:
             n_cnot += 1
-        elif kind is GateKind.TOFFOLI:
+            c = controls[0]
+            t = targets[0]
+            d = depth_at[c]
+            e = depth_at[t]
+            if e > d:
+                d = e
+            td = tdepth_at[c]
+            e = tdepth_at[t]
+            if e > td:
+                td = e
+            depth_at[c] = depth_at[t] = d + 1
+            tdepth_at[c] = tdepth_at[t] = td
+        elif kind is _TOFFOLI:
             n_toffoli += 1
-            td += 1
-        elif kind is GateKind.NOT:
-            n_not += 1
-        elif kind is GateKind.FANOUT:
-            n_fanout += 1
-            if len(targets) > max_fanout:
-                max_fanout = len(targets)
+            c1, c2 = controls
+            t = targets[0]
+            d = depth_at[c1]
+            e = depth_at[c2]
+            if e > d:
+                d = e
+            e = depth_at[t]
+            if e > d:
+                d = e
+            td = tdepth_at[c1]
+            e = tdepth_at[c2]
+            if e > td:
+                td = e
+            e = tdepth_at[t]
+            if e > td:
+                td = e
+            depth_at[c1] = depth_at[c2] = depth_at[t] = d + 1
+            tdepth_at[c1] = tdepth_at[c2] = tdepth_at[t] = td + 1
         else:
-            n_gen += 1
-            td += 1
-        for w in ops:
-            depth_at[w] = d
-            tdepth_at[w] = td
+            ops = controls + targets
+            d = 0
+            td = 0
+            for w in ops:
+                if depth_at[w] > d:
+                    d = depth_at[w]
+                if tdepth_at[w] > td:
+                    td = tdepth_at[w]
+            d += 1
+            if kind is _NOT:
+                n_not += 1
+            elif kind is _FANOUT:
+                n_fanout += 1
+                if len(targets) > max_fanout:
+                    max_fanout = len(targets)
+            else:
+                n_gen += 1
+                td += 1
+            for w in ops:
+                depth_at[w] = d
+                tdepth_at[w] = td
     return CircuitStats(
         depth=max(depth_at, default=0),
         toffoli_depth=max(tdepth_at, default=0),
@@ -405,28 +439,43 @@ def compute_stats(circuit: Circuit) -> CircuitStats:
 def max_window_span(circuit: Circuit, layout: Mapping[int, int]) -> int:
     """Largest distance any single gate spans under a line layout.
 
-    ``layout`` must map every wire to a distinct non-negative line
-    position.  Returns max over gates of (max operand position - min
-    operand position); 0 for an empty circuit.
+    ``layout`` must map every wire, and nothing else, to a distinct
+    non-negative line position.  Returns max over gates of (max operand
+    position - min operand position); 0 for an empty circuit.
     """
+    wire_count = circuit.wire_count
     positions = {int(w): int(p) for w, p in layout.items()}
-    missing = [w for w in range(circuit.wire_count) if w not in positions]
-    if missing:
-        raise ValueError(f"layout missing wires {missing}")
-    if len(set(positions.values())) != circuit.wire_count:
+    try:
+        pos = [positions[w] for w in range(wire_count)]
+    except KeyError:
+        missing = [w for w in range(wire_count) if w not in positions]
+        raise ValueError(f"layout missing wires {missing}") from None
+    if len(positions) != wire_count:
+        extra = sorted(w for w in positions if not 0 <= w < wire_count)
+        raise ValueError(f"layout wires {extra} out of range for {wire_count} wires")
+    if len(set(pos)) != wire_count:
         raise ValueError("layout positions must be distinct")
-    if any(p < 0 for p in positions.values()):
+    if min(pos) < 0:
         raise ValueError("layout positions must be non-negative")
-    pos = [positions[w] for w in range(circuit.wire_count)]
     span = 0
-    for _, controls, targets in circuit.gates:
-        lo = hi = pos[targets[0]]
-        for w in controls + targets:
-            p = pos[w]
+    for kind, controls, targets in circuit.gates:
+        if kind is _CNOT:
+            s = abs(pos[controls[0]] - pos[targets[0]])
+        elif kind is _TOFFOLI:
+            c1, c2 = controls
+            lo = pos[c1]
+            hi = pos[c2]
+            if lo > hi:
+                lo, hi = hi, lo
+            p = pos[targets[0]]
             if p < lo:
                 lo = p
             elif p > hi:
                 hi = p
-        if hi - lo > span:
-            span = hi - lo
+            s = hi - lo
+        else:
+            ops = [pos[w] for w in controls + targets]
+            s = max(ops) - min(ops)
+        if s > span:
+            span = s
     return span

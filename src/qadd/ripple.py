@@ -125,8 +125,11 @@ def interleaved_layout(circuit: Circuit) -> dict[int, int]:
     if circuit.wire_count != 2 * n + 1:
         raise ValueError("interleaved layout needs 2n+1 wires")
     layout: dict[int, int] = {}
-    for i in range(n):
-        layout[by_role[f"B{i}"]] = 2 * i
-        layout[by_role[f"A{i}"]] = 2 * i + 1
+    try:
+        for i in range(n):
+            layout[by_role[f"B{i}"]] = 2 * i
+            layout[by_role[f"A{i}"]] = 2 * i + 1
+    except KeyError as exc:
+        raise ValueError(f"circuit has no role label {exc.args[0]}") from None
     layout[by_role["Z"]] = 2 * n
     return layout

@@ -106,6 +106,22 @@ def test_stats_sum_of_counts():
     assert st.toffoli_depth <= st.depth
 
 
+@pytest.mark.parametrize("gate", [cx(0, 1), ccx(0, 1, 2)])
+def test_stats_carry_depth_from_every_operand_to_every_other(gate):
+    # Two Toffolis raise operand i, then two more continue from operand j on
+    # fresh wires, so the critical path runs through the gate for every pair.
+    ops = gate.controls + gate.targets
+    for i in ops:
+        for j in ops:
+            if i != j:
+                c = Circuit(
+                    11, gates=[ccx(3, 4, i), ccx(5, 6, i), gate, ccx(j, 7, 8), ccx(j, 9, 10)]
+                )
+                st = compute_stats(c)
+                tdepth = 4 + (gate.kind is GateKind.TOFFOLI)
+                assert (st.depth, st.toffoli_depth) == (5, tdepth), (i, j)
+
+
 def test_depth_counts_every_gate_as_one_layer():
     c = build_circuit(8).extend([fo(0, list(range(1, 8))), tg(list(range(7)), 7)])
     assert compute_stats(c).depth == 2
@@ -133,6 +149,22 @@ def test_max_window_span():
         max_window_span(c, {0: 0})  # missing wire
     with pytest.raises(ValueError):
         max_window_span(c, {0: 0, 1: 0})  # not a bijection
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({}, r"layout missing wires \[4\]"),
+        ({4: 4, 9: 9}, r"layout wires \[9\] out of range for 5 wires"),
+        ({4: 4, -1: 5}, r"layout wires \[-1\] out of range for 5 wires"),
+        ({4: 3}, "layout positions must be distinct"),
+        ({4: -1}, "layout positions must be non-negative"),
+    ],
+)
+def test_max_window_span_names_what_is_wrong_with_the_layout(extra, message):
+    layout = {0: 0, 1: 1, 2: 2, 3: 3, **extra}
+    with pytest.raises(ValueError, match=message):
+        max_window_span(synth_ripple(2), layout)
 
 
 def _involution_cases(gate, width):

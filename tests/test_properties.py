@@ -1,9 +1,13 @@
 """Differential properties over random circuits of all five gate kinds.
 
 They guard the readers that unpack gates (``export_netlist``,
-``parse_netlist``, ``run``, ``run_packed``, ``compute_stats``) against each
-other.  ``run`` is now a one-case ``run_packed``, so the kernel is checked
-against ``reference_run``, the scalar interpreter ``run`` used to be.
+``parse_netlist``, ``run``, ``run_packed``, ``compute_stats``,
+``max_window_span``) against each other.  ``run`` is now a one-case
+``run_packed``, so the kernel is checked against ``reference_run``, the
+scalar interpreter ``run`` used to be.  ``compute_stats`` and
+``max_window_span`` read CNOT and Toffoli operands directly, so they are
+checked against ``reference_stats`` and ``reference_span``, the generic
+loops over ``controls + targets`` they used for every kind.
 """
 
 from hypothesis import given, settings
@@ -11,12 +15,14 @@ from hypothesis import strategies as st
 
 from qadd import (
     Circuit,
+    CircuitStats,
     GateKind,
     ccx,
     compute_stats,
     cx,
     export_netlist,
     fo,
+    max_window_span,
     parse_netlist,
     run,
     run_packed,
@@ -56,6 +62,72 @@ def reference_run(circuit, state):
                 acc &= out[c]
             out[targets[0]] ^= acc
     return out
+
+
+def reference_stats(circuit):
+    """``compute_stats`` as one generic loop over every gate's operands,
+    kept as the reference for its direct CNOT and Toffoli branches."""
+    depth_at = [0] * circuit.wire_count
+    tdepth_at = [0] * circuit.wire_count
+    n_not = n_cnot = n_toffoli = n_fanout = n_gen = 0
+    max_fanout = 0
+    for kind, controls, targets in circuit.gates:
+        ops = controls + targets
+        d = 0
+        td = 0
+        for w in ops:
+            if depth_at[w] > d:
+                d = depth_at[w]
+            if tdepth_at[w] > td:
+                td = tdepth_at[w]
+        d += 1
+        if kind is GateKind.CNOT:
+            n_cnot += 1
+        elif kind is GateKind.TOFFOLI:
+            n_toffoli += 1
+            td += 1
+        elif kind is GateKind.NOT:
+            n_not += 1
+        elif kind is GateKind.FANOUT:
+            n_fanout += 1
+            if len(targets) > max_fanout:
+                max_fanout = len(targets)
+        else:
+            n_gen += 1
+            td += 1
+        for w in ops:
+            depth_at[w] = d
+            tdepth_at[w] = td
+    return CircuitStats(
+        depth=max(depth_at, default=0),
+        toffoli_depth=max(tdepth_at, default=0),
+        size=len(circuit.gates),
+        count_not=n_not,
+        count_cnot=n_cnot,
+        count_toffoli=n_toffoli,
+        count_fanout=n_fanout,
+        count_gen_toffoli=n_gen,
+        ancilla_count=len(circuit.ancilla),
+        max_fanout_length=max_fanout,
+    )
+
+
+def reference_span(circuit, layout):
+    """``max_window_span``'s generic min/max loop over every gate's
+    operands, for a layout already known to be valid."""
+    pos = [layout[w] for w in range(circuit.wire_count)]
+    span = 0
+    for _, controls, targets in circuit.gates:
+        lo = hi = pos[targets[0]]
+        for w in controls + targets:
+            p = pos[w]
+            if p < lo:
+                lo = p
+            elif p > hi:
+                hi = p
+        if hi - lo > span:
+            span = hi - lo
+    return span
 
 
 @st.composite
@@ -145,3 +217,18 @@ def test_stats_depth_ordering(circuit):
         + stats.count_fanout
         + stats.count_gen_toffoli
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_compute_stats_matches_reference_stats(circuit):
+    assert compute_stats(circuit) == reference_stats(circuit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(), st.randoms(use_true_random=False))
+def test_max_window_span_matches_reference_span(circuit, rnd):
+    positions = list(range(circuit.wire_count))
+    rnd.shuffle(positions)
+    layout = dict(enumerate(positions))
+    assert max_window_span(circuit, layout) == reference_span(circuit, layout)

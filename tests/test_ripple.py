@@ -77,6 +77,12 @@ def test_ripple_span_under_interleaved_layout():
         assert max_window_span(c, interleaved_layout(c)) <= 3
 
 
+@pytest.mark.parametrize("roles, missing", [({4: "Z"}, "B0"), ({0: "B0", 4: "Z"}, "A0")])
+def test_interleaved_layout_names_a_missing_role_label(roles, missing):
+    with pytest.raises(ValueError, match=f"no role label {missing}$"):
+        interleaved_layout(Circuit(5, role_map=roles))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_state_after_first_half(n):
     # the first 3n-2 gates are exactly steps 1-3; the wire contents there
