@@ -10,6 +10,14 @@ through the bitwise complement of the sum, which generates the same
 carries as the original operands.  The top block's carry slot is the Z
 wire itself, which is how Z ends up holding z ^ s_n while every declared
 ancilla returns to 0.
+
+The frame of a block is the first 2k-2 gates of its carry computation
+(``ripple._first_half``): the fold b_i ^= a_i for i >= 1 and the chain
+a_{i+1} ^= a_i, whose top CNOT writes the carry slot.  SUM works inside the
+same frame, so the circuit opens it once, in the init section, and closes
+it once: in the sum section on the top block, at the end of the unwind
+section on every other block.  The uncompute-init section, the block sums
+and the complement all run inside it.
 """
 
 from __future__ import annotations
@@ -272,6 +280,11 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     block's slot is Z itself), propagate slots P1..P{m-1} (the carry into
     block i reads only G0 and P1..P{i-1}, so block 0 has no propagate),
     then the carry tree's scratch wires.
+
+    Each block's fold-and-chain frame (its first 2k-2 init gates) is
+    opened in "init" and left open by "uncompute-init" and "sum"; "sum"
+    closes it on the top block, and "unwind", which reverses "init",
+    closes it on the others.
     """
     n, k, m = params.n, params.k, params.blocks
     plan = combined_wire_plan(params)
@@ -285,19 +298,33 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     def ba(j: int) -> list[int]:
         return a[j * k : (j + 1) * k]
 
-    step1 = _first_half(bb(0), ba(0), g_slots[0])
-    for j in range(1, m):
-        step1 += init_gates(bb(j), ba(j), g_slots[j], p_slots[j - 1])
+    blocks = [_first_half(bb(0), ba(0), g_slots[0])]
+    blocks += [init_gates(bb(j), ba(j), g_slots[j], p_slots[j - 1]) for j in range(1, m)]
+    step1 = [gate for block in blocks for gate in block]
 
     carry, scratch = carry_gates(g_slots, [None, *p_slots], first_scratch=plan["scratch"][0])
 
-    # step 3: undo step 1 except on the carry slots, which keep their value
+    # step 3: undo step 1 behind each block's frame (its first 2k-2 gates)
+    # except on the carry slots, which keep their value
+    frame = 2 * k - 2
     carry_slots = set(g_slots)
-    step3 = [g for g in reversed(step1) if carry_slots.isdisjoint(g.operands)]
+    step3 = [
+        g
+        for block in reversed(blocks)
+        for g in reversed(block[frame:])
+        if carry_slots.isdisjoint(g.operands)
+    ]
 
-    step4 = sum_gates(bb(0), ba(0), None)
-    for j in range(m - 1):
-        step4 += sum_gates(bb(j + 1), ba(j + 1), g_slots[j])
+    # step 4: sum_gates opens with cx(a0, b0) and the frame's 2k-3 gates
+    # off the carry slot, which step 3 left in place, so they are skipped.
+    # It closes by undoing those 2k-3 gates; blocks below the top skip that
+    # too and stay in the frame for step 6, as the complement's X gates on
+    # b commute with it
+    step4: list[Gate] = []
+    for j in range(m):
+        s = sum_gates(bb(j), ba(j), g_slots[j - 1] if j else None)
+        end = len(s) if j == m - 1 else len(s) - (frame - 1)
+        step4 += s[:1] + s[frame:end]
 
     step5 = [_x(b[i]) for i in range(n - k)]
 

@@ -240,7 +240,7 @@ def dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"error: {err}\n")
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, NetlistError, OSError) as err:
+    except (ValueError, OverflowError, NetlistError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -27,6 +27,12 @@ COMBINED_SIZE_FACTOR = 14
 COMBINED_ANCILLA_FACTOR = 3
 
 
+def _check_positive(name: str, x: float) -> None:
+    # inf and nan would loop forever or compare as neither <= 0 nor > 1
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} needs a positive finite input, got {x}")
+
+
 def log_star(x: float) -> int:
     """Iterated base-2 logarithm: least j with log2 applied j times <= 1.
 
@@ -35,8 +41,7 @@ def log_star(x: float) -> int:
     and an int x >= 1 is <= 2**t iff ``(x - 1).bit_length() <= t``.  So for
     an int x >= 2, ``log_star(x) == 1 + log_star((x - 1).bit_length())``.
     """
-    if x <= 0:
-        raise ValueError(f"log_star needs positive input, got {x}")
+    _check_positive("log_star", x)
     j = 0
     if isinstance(x, int):
         while x > 1:
@@ -52,8 +57,7 @@ def log_star(x: float) -> int:
 
 def log_star_star(x: float) -> int:
     """Least j with log_star applied j times <= 1."""
-    if x <= 0:
-        raise ValueError(f"log_star_star needs positive input, got {x}")
+    _check_positive("log_star_star", x)
     j = 0
     v = x
     while v > 1:
@@ -114,8 +118,9 @@ class CostEstimate:
 
     def __post_init__(self) -> None:
         for name in ("qubits_total", "ancilla", "depth", "size"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -200,7 +200,8 @@ def test_combined_random(n, d):
 def test_combined_exact_resource_profile():
     # ancilla = 3m - log2(m) - 3, Toffoli count = 14n - 4m - 14k - 9 log2(m) + 7
     # and Toffoli depth = 14k + 4 log2(n/k) - 11 (-13 at m = 4), the measured
-    # constants behind the committed <= bounds
+    # constants behind the committed <= bounds; size, CNOT and NOT counts and
+    # depth are pinned with the blocks' fold-and-chain frame opened once
     for n, d in ((8, 2), (16, 4), (32, 8), (64, 4), (128, 32)):
         p = BlockParams(n, d)
         st = compute_stats(synth_combined(p))
@@ -209,6 +210,10 @@ def test_combined_exact_resource_profile():
         assert st.ancilla_count == 3 * m - logm - 3
         assert st.count_toffoli == 14 * n - 4 * m - 14 * k - 9 * logm + 7
         assert st.toffoli_depth == 14 * k + 4 * logm - (13 if m == 4 else 11)
+        assert st.size == 21 * n + 5 * m - 16 * k - 9 * logm - 9
+        assert st.count_cnot == 5 * n + 9 * m - 16
+        assert st.count_not == 2 * n - 2 * k
+        assert st.depth == 17 * k + 4 * logm - (3 if m == 4 else 1)
         assert st.count_toffoli <= 14 * n
         assert st.count_gen_toffoli == 0 and st.count_fanout == 0
 

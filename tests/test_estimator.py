@@ -47,6 +47,21 @@ def test_log_star_star_examples():
         log_star_star(-1)
 
 
+@pytest.mark.parametrize("fn", [log_star, log_star_star])
+@pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+def test_log_star_rejects_non_finite(fn, x):
+    # log2(inf) is inf, and nan is neither <= 0 nor > 1
+    with pytest.raises(ValueError, match="positive finite"):
+        fn(x)
+
+
+def test_cost_estimate_rejects_non_finite():
+    with pytest.raises(ValueError, match="depth must be finite"):
+        CostEstimate("x", qubits_total=1, ancilla=0, depth=math.inf, size=1)
+    with pytest.raises(ValueError, match="size must be finite"):
+        CostEstimate("x", qubits_total=1, ancilla=0, depth=1, size=math.nan)
+
+
 def test_log_star_matches_reference_on_grid_and_random_points():
     for k in range(65):
         x = 1 << k
