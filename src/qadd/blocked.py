@@ -122,14 +122,18 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
     gates: list[Gate] = []
     gates += [_cx(a[i], b[i]) for i in range(w)]
     gates += [_cx(a[i], a[i + 1]) for i in range(w - 2, -1, -1)]
-    if carry is not None:
+    # the carry CNOTs onto a0 bracket the Toffolis; at w = 1 there are none,
+    # and the pair would cancel
+    carry_into_a0 = carry is not None and w > 1
+    if carry_into_a0:
         gates.append(_cx(carry, a[0]))
     gates += [_ccx(b[i], a[i], a[i + 1]) for i in range(w - 1)]
     for i in range(w - 1, 0, -1):
         gates.append(_cx(a[i], b[i]))
         gates.append(_ccx(b[i - 1], a[i - 1], a[i]))
-    if carry is not None:
+    if carry_into_a0:
         gates.append(_cx(carry, a[0]))
+    if carry is not None:
         gates.append(_cx(carry, b[0]))
     gates += [_cx(a[i], a[i + 1]) for i in range(w - 1)]
     gates += [_cx(a[i], b[i]) for i in range(1, w)]

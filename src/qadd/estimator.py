@@ -68,7 +68,7 @@ def log_star_star(x: float) -> int:
 
 @dataclass(frozen=True)
 class ConstantPack:
-    """Named multiplicative constants, strictly positive, default 1."""
+    """Named multiplicative constants, positive and finite, default 1."""
 
     c_depth: float = 1.0
     c_size: float = 1.0
@@ -77,8 +77,9 @@ class ConstantPack:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if value <= 0:
-                raise ValueError(f"constant {name} must be positive, got {value}")
+            # nan compares False both ways, so it fails this test too
+            if not 0 < value < math.inf:
+                raise ValueError(f"constant {name} must be positive and finite, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -22,14 +22,28 @@ one pass on that line: ASCII-digit ids, the opcode's arity, pairwise
 distinct operands and every id below the wire count.  Each check is made
 once, there: the gates are built unchecked and the parts are adopted by
 ``Circuit`` as they are, with no second pass over the gates, and the parse
-runs with the garbage collector paused.
+runs with the garbage collector paused.  Each distinct gate line is checked
+once: a line whose exact text came before reuses the ``Gate`` built from
+it, so repeats share one immutable ``Gate``, and a bad line raises at its
+first occurrence.  Export writes CNOT, Toffoli and NOT lines with one
+f-string each and the variadic kinds with one ``join``.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .circuit import WIRE_CAP, Circuit, Gate, GateKind, _collector_paused, _new
+from .circuit import (
+    _CNOT,
+    _NOT,
+    _TOFFOLI,
+    WIRE_CAP,
+    Circuit,
+    Gate,
+    GateKind,
+    _collector_paused,
+    _new,
+)
 
 MAGIC = "qadd 1"
 
@@ -65,7 +79,15 @@ def export_netlist(circuit: Circuit) -> str:
     append = lines.append
     join = " ".join
     for kind, controls, targets in circuit.gates:
-        append(join((kind._value_, *map(str, controls + targets))))
+        if kind is _CNOT:
+            append(f"cx {controls[0]} {targets[0]}")
+        elif kind is _TOFFOLI:
+            c1, c2 = controls
+            append(f"ccx {c1} {c2} {targets[0]}")
+        elif kind is _NOT:
+            append(f"x {targets[0]}")
+        else:
+            append(join((kind._value_, *map(str, controls + targets))))
     return "\n".join(lines) + "\n"
 
 
@@ -108,11 +130,18 @@ def parse_netlist(text: str) -> Circuit:
     roles: dict[int, str] = {}
     labels: set[str] = set()
     gates: list[Gate] = []
+    # A gate line's Gate depends only on its text and the wire count, which
+    # is fixed before any gate line is accepted, so each distinct valid gate
+    # line is checked once and its repeats share that Gate.
+    seen: dict[str, Gate] = {}
     seen_ancilla = False
     specs = _SPECS
     add_gate = gates.append
 
     for lineno, raw in enumerate(islice(lines, 1, None), start=2):
+        if raw in seen:
+            add_gate(seen[raw])
+            continue
         tokens = raw.split()
         if not tokens:
             continue
@@ -145,7 +174,8 @@ def parse_netlist(text: str) -> Circuit:
                 raise NetlistError(
                     lineno, 1, f"gate operand {w} out of range for {wire_count} wires"
                 )
-            add_gate(_new(Gate, (kind, ids[:cut], ids[cut:])))
+            gate = seen[raw] = _new(Gate, (kind, ids[:cut], ids[cut:]))
+            add_gate(gate)
             continue
 
         if head == "#":

@@ -159,6 +159,13 @@ def test_constant_pack():
     assert anc.ancilla == 3 * tt_cost(16, 4).ancilla
 
 
+@pytest.mark.parametrize("name", ["c_depth", "c_size", "c_anc", "c_logstar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constant_pack_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"constant {name} must be positive and finite"):
+        ConstantPack(**{name: value})
+
+
 def test_estimates_are_deterministic():
     a = shor_dlog_estimate(512, "combined", d=9)
     b = shor_dlog_estimate(512, "combined", d=9)

@@ -249,6 +249,29 @@ def test_wire_ids_too_long_for_int(body, lineno):
     _expect_error("qadd 1\n" + body.format("0" * 5000 + "1"), lineno, "too long")
 
 
+# --- repeated gate lines --------------------------------------------------------
+
+
+def test_repeated_gate_lines_share_one_gate():
+    text = "qadd 1\nqubits 4\ncx 0 1\nccx 0 1 2\ncx 0 1\nx 3\nccx 0 1 2\ncx 0 1\n"
+    parsed = parse_netlist(text)
+    assert parsed == reference_parse_netlist(text)
+    assert parsed.gates[0] is parsed.gates[2] is parsed.gates[5]
+    assert parsed.gates[1] is parsed.gates[4]
+    assert parsed.gates[0] is not parsed.gates[1]
+
+
+def test_repeated_bad_gate_line_raises_at_its_first_occurrence():
+    err = _expect_error("qadd 1\nqubits 4\nx 0\ncx 0 q\nx 0\ncx 0 q\n", 4, "expected wire id")
+    assert err.column == 6
+    _expect_error("qadd 1\nqubits 4\ncx 0 9\ncx 0 9\n", 3, "gate operand 9 out of range")
+
+
+def test_spellings_of_one_gate_give_equal_gates():
+    parsed = parse_netlist("qadd 1\nqubits 3\ncx 1 2\ncx 01 2\ncx  1 2\n")
+    assert parsed.gates == [cx(1, 2)] * 3
+
+
 # --- the reference parser -----------------------------------------------------
 #
 # The parser as it was before gate lines were validated in one pass, kept as
@@ -469,6 +492,23 @@ def mutated_netlists(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_netlists())
 def test_parser_matches_reference_on_mutated_exports(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+@st.composite
+def mutated_netlists_with_repeats(draw):
+    """A mutated export with some of its lines, mutated ones included,
+    copied to random places, so a line checked once recurs later."""
+    lines = draw(mutated_netlists()).split("\n")
+    for _ in range(draw(st.integers(1, 8))):
+        line = lines[draw(st.integers(1, len(lines) - 1))]
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_netlists_with_repeats())
+def test_parser_matches_reference_on_mutated_exports_with_repeated_lines(text):
     assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
 
 

@@ -8,6 +8,9 @@ scalar interpreter ``run`` used to be.  ``compute_stats`` and
 ``max_window_span`` read CNOT and Toffoli operands directly, so they are
 checked against ``reference_stats`` and ``reference_span``, the generic
 loops over ``controls + targets`` they used for every kind.
+``export_netlist`` writes CNOT, Toffoli and NOT lines with one f-string
+each, so it is checked against ``reference_export``, the generic ``join``
+it used for every kind.
 """
 
 from hypothesis import given, settings
@@ -130,6 +133,20 @@ def reference_span(circuit, layout):
     return span
 
 
+def reference_export(circuit):
+    """``export_netlist`` as one generic ``join`` per gate, kept as the
+    reference for its direct CNOT, Toffoli and NOT branches."""
+    lines = ["qadd 1", f"qubits {circuit.wire_count}"]
+    anc = " ".join(str(w) for w in sorted(circuit.ancilla))
+    lines.append(f"ancilla {anc}".rstrip())
+    if circuit.role_map:
+        for w in sorted(circuit.role_map):
+            lines.append(f"# role {w} {circuit.role_map[w]}")
+    for kind, controls, targets in circuit.gates:
+        lines.append(" ".join((kind.value, *map(str, controls + targets))))
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def gates(draw, wire_count):
     kind = draw(st.sampled_from(list(GateKind)))
@@ -232,3 +249,9 @@ def test_max_window_span_matches_reference_span(circuit, rnd):
     rnd.shuffle(positions)
     layout = dict(enumerate(positions))
     assert max_window_span(circuit, layout) == reference_span(circuit, layout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_export_netlist_matches_reference_export(circuit):
+    assert export_netlist(circuit) == reference_export(circuit)
