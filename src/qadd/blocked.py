@@ -312,12 +312,10 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # except on the carry slots, which keep their value
     frame = 2 * k - 2
     carry_slots = set(g_slots)
-    step3 = [
-        g
-        for block in reversed(blocks)
-        for g in reversed(block[frame:])
-        if carry_slots.isdisjoint(g.operands)
+    tails = [
+        [g for g in block[frame:] if carry_slots.isdisjoint(g.operands)] for block in blocks
     ]
+    step3 = [g for tail in reversed(tails) for g in reversed(tail)]
 
     # step 4: sum_gates opens with cx(a0, b0) and the frame's 2k-3 gates
     # off the carry slot, which step 3 left in place, so they are skipped.
@@ -332,18 +330,17 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 
     step5 = [_x(b[i]) for i in range(n - k)]
 
-    # step 6: reverse of steps 1-3 except on the top block's registers; the
-    # complemented sum regenerates the same carries, which zeroes the slots.
-    # P{m-1} and the scratch are 0 while the carry tree runs backwards, so
-    # the tree gates with a known-zero control do nothing and are left out
-    top = set(bb(m - 1) + ba(m - 1))
-    step6 = [g for g in reversed(step3) if top.isdisjoint(g.operands)]
+    # step 6: reverse of steps 1-3 on the block lists below the top block;
+    # the complemented sum regenerates the same carries, which zeroes the
+    # slots.  P{m-1} and the scratch are 0 while the carry tree runs
+    # backwards, so the tree gates with a known-zero control are left out
+    step6 = [g for tail in tails[:-1] for g in tail]
     zero = {p_slots[-1], *scratch}
     for gate in reversed(carry):
         if zero.isdisjoint(gate.controls):
             step6.append(gate)
             zero.difference_update(gate.targets)
-    step6 += [g for g in reversed(step1) if top.isdisjoint(g.operands)]
+    step6 += [g for block in reversed(blocks[:-1]) for g in reversed(block)]
 
     step7 = list(step5)
     return [

@@ -19,8 +19,8 @@ from .netlist import NetlistError, export_netlist, parse_netlist
 from .oracles import adder_oracle, fanout_oracle
 from .ripple import ripple_closed_forms, synth_ripple
 from .sim import (
-    EXHAUSTIVE_WIRE_CAP,
     VerifyReport,
+    _check_exhaustive_request,
     _check_random_request,
     verify_exhaustive,
     verify_random,
@@ -105,20 +105,14 @@ def _data_wires(args: argparse.Namespace) -> int:
     return wires
 
 
-def _build(args: argparse.Namespace):
-    """Synthesize the requested circuit and its packed oracle."""
+def _build(args: argparse.Namespace) -> Circuit:
+    """Synthesize the requested circuit."""
     _data_wires(args)
     if args.kind == "ripple":
-        circuit = synth_ripple(args.n)
-        _, packed = adder_oracle(circuit)
-    elif args.kind == "combined":
-        circuit = synth_combined(BlockParams(args.n, args.d))
-        _, packed = adder_oracle(circuit)
-    else:
-        targets = list(range(1, args.t + 1))
-        circuit = synth_fanout_tree(0, targets, args.f)
-        _, packed = fanout_oracle(circuit, 0, targets)
-    return circuit, packed
+        return synth_ripple(args.n)
+    if args.kind == "combined":
+        return synth_combined(BlockParams(args.n, args.d))
+    return synth_fanout_tree(0, list(range(1, args.t + 1)), args.f)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -134,8 +128,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    circuit, _ = _build(args)
-    _emit(export_netlist(circuit), args.output)
+    _emit(export_netlist(_build(args)), args.output)
     return 0
 
 
@@ -143,13 +136,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Every data wire is free, so the input size is known before synthesis.
     free = _data_wires(args)
     exhaustive = args.exhaustive or free <= EXHAUSTIVE_DEFAULT_LIMIT
-    if exhaustive and free > EXHAUSTIVE_WIRE_CAP:
-        raise ValueError(
-            f"{free} free wires exceed the exhaustive cap of {EXHAUSTIVE_WIRE_CAP}"
-        )
-    if not exhaustive:
+    if exhaustive:
+        _check_exhaustive_request(free)
+    else:
         _check_random_request(args.trials, free)
-    circuit, packed = _build(args)
+    circuit = _build(args)
+    if args.kind == "fanout-tree":
+        _, packed = fanout_oracle(circuit, 0, list(range(1, args.t + 1)))
+    else:
+        _, packed = adder_oracle(circuit)
     if exhaustive:
         report: VerifyReport = verify_exhaustive(circuit, packed_oracle=packed)
         mode = "exhaustive"
@@ -179,7 +174,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             circuit: Circuit = parse_netlist(handle.read())
         ripple_n = None
     else:
-        circuit, _ = _build(args)
+        circuit = _build(args)
         ripple_n = args.n if args.kind == "ripple" else None
     stats = compute_stats(circuit)
     if args.json:

@@ -308,6 +308,14 @@ def _check_columns(
     )
 
 
+def _check_exhaustive_request(width: int) -> None:
+    """Reject an exhaustive run over ``width`` free wires above the cap."""
+    if width > EXHAUSTIVE_WIRE_CAP:
+        raise ValueError(
+            f"{width} free wires exceed the exhaustive cap of {EXHAUSTIVE_WIRE_CAP}"
+        )
+
+
 def _check_random_request(trials: int, width: int) -> None:
     """Reject a seeded run of ``trials`` over ``width`` free wires before
     anything is allocated for it."""
@@ -353,10 +361,7 @@ def verify_exhaustive(
     0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
     """
     free = _resolve_free(circuit, free_wires)
-    if len(free) > EXHAUSTIVE_WIRE_CAP:
-        raise ValueError(
-            f"{len(free)} free wires exceed the exhaustive cap of {EXHAUSTIVE_WIRE_CAP}"
-        )
+    _check_exhaustive_request(len(free))
     cols = _enumeration_columns(circuit, free)
     return _check_columns(circuit, cols, 1 << len(free), oracle, packed_oracle, None)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import qadd.cli as cli
-from qadd import WIRE_CAP, parse_netlist
+from qadd import WIRE_CAP, parse_netlist, synth_ripple, verify_exhaustive
 from qadd.cli import dispatch
 
 
@@ -192,6 +192,33 @@ def test_verify_checks_input_size_before_synthesis(capsys, monkeypatch, flags):
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
     assert err and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--kind", "ripple", "--n", "3"),
+        ("synth", "--kind", "fanout-tree", "--t", "5", "--f", "2"),
+        ("stats", "--kind", "combined", "--n", "8", "--d", "2"),
+        ("stats", "--kind", "fanout-tree", "--t", "5", "--f", "2"),
+    ],
+)
+def test_synth_and_stats_build_no_oracle(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle was built outside verify")
+
+    for name in ("adder_oracle", "fanout_oracle"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_verify_exhaustive_cap_message_matches_sim(capsys):
+    with pytest.raises(ValueError) as err:
+        verify_exhaustive(synth_ripple(12))  # 25 free wires
+    code, out, stderr = run_cli(capsys, "verify", "--kind", "ripple", "--n", "12", "--exhaustive")
+    assert code == 2 and not out
+    assert stderr == f"error: {err.value}\n"
 
 
 def test_largest_allowed_kind_passes_the_wire_check():

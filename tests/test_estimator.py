@@ -208,6 +208,16 @@ def test_log_star_int_path_matches_float_loop():
         assert log_star_star(x) == log_star_star(float(x)), x
 
 
+def test_log_star_is_exact_just_above_a_tower():
+    # the float loop rounds log2 of these down onto the tower below
+    above_16 = math.nextafter(16.0, math.inf)
+    above_65536 = 65536.00000000001
+    assert log_star(above_16) == 4
+    assert log_star(above_65536) == 5
+    for x in (above_16, above_65536):
+        assert log_star_star(x) == log_star_star(math.ceil(x)), x
+
+
 def test_log_star_is_exact_on_huge_ints():
     assert log_star(2**2000) == 5
     assert log_star_star(2**2000) == 4

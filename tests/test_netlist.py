@@ -81,6 +81,15 @@ def test_golden_ripple_n3():
     assert len(gate_lines) == 15
 
 
+def test_golden_combined_n8_d2():
+    golden = (DATA / "combined_n8_d2.qn").read_text()
+    circuit = synth_combined(BlockParams(8, 2))
+    assert export_netlist(circuit) == golden
+    assert parse_netlist(golden) == circuit
+    gate_lines = [l for l in golden.splitlines() if not l.startswith(("qadd", "qubits", "ancilla", "#"))]
+    assert len(gate_lines) == 129
+
+
 def _expect_error(text, lineno=None, fragment=""):
     with pytest.raises(NetlistError) as err:
         parse_netlist(text)
