@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, _ccx, _check_wires, _collector_paused, _cx, _x
-from .ripple import _first_half, ripple_roles, ripple_wires
+from .ripple import _first_half, _labels, ripple_roles, ripple_wires
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,8 @@ def synth_init(w: int) -> Circuit:
         raise ValueError("block width must be >= 2")
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
-    roles = {b[i]: f"B{i}" for i in range(w)}
-    roles.update({a[i]: f"A{i}" for i in range(w)})
+    roles = _labels("B", b)
+    roles.update(_labels("A", a))
     roles[g] = "G"
     roles[p] = "P"
     return Circuit._adopt(2 * w + 2, (), roles, init_gates(b, a, g, p), p)
@@ -232,20 +232,14 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     """
     if w < 1:
         raise ValueError("block width must be >= 1")
-    if with_carry_in:
-        carry: int | None = 0
-        b = [1 + 2 * i for i in range(w)]
-        a = [2 + 2 * i for i in range(w)]
-        wire_count = 2 * w + 1
-        roles = {0: "C"}
-    else:
-        carry = None
-        b, a, _ = ripple_wires(w)
-        wire_count = 2 * w
-        roles = {}
-    roles.update({b[i]: f"B{i}" for i in range(w)})
-    roles.update({a[i]: f"A{i}" for i in range(w)})
-    return Circuit._adopt(wire_count, (), roles, sum_gates(b, a, carry), a[-1])
+    offset = int(with_carry_in)  # the carry wire, when there is one, is wire 0
+    b = [offset + 2 * i for i in range(w)]
+    a = [offset + 2 * i + 1 for i in range(w)]
+    roles = {0: "C"} if with_carry_in else {}
+    roles.update(_labels("B", b))
+    roles.update(_labels("A", a))
+    carry = 0 if with_carry_in else None
+    return Circuit._adopt(2 * w + offset, (), roles, sum_gates(b, a, carry), a[-1])
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
@@ -268,12 +262,12 @@ def synth_carry(n: int, l: int) -> Circuit:
     m = n >> (l - 1)
     if m < 4:
         raise ValueError(f"need n/2**(l-1) >= 4, got {m}")
-    p_wires: list[int | None] = [None] + [i - 1 for i in range(1, m)]
-    g_wires = [m - 1 + j for j in range(m)]
-    gates, scratch = carry_gates(g_wires, p_wires, first_scratch=2 * m - 1)
-    roles = {i - 1: f"P{i}" for i in range(1, m)}
-    roles.update({g_wires[j]: f"G{j}" for j in range(m)})
-    roles.update({w: f"S{i}" for i, w in enumerate(scratch)})
+    p_wires = list(range(m - 1))
+    g_wires = list(range(m - 1, 2 * m - 1))
+    gates, scratch = carry_gates(g_wires, [None, *p_wires], first_scratch=2 * m - 1)
+    roles = _labels("P", p_wires, 1)
+    roles.update(_labels("G", g_wires))
+    roles.update(_labels("S", scratch))
     return Circuit._adopt(2 * m - 1 + len(scratch), scratch, roles, gates, scratch[-1])
 
 
@@ -295,15 +289,10 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     b, a, _ = ripple_wires(n)
     g_slots = plan["g_slots"] + [plan["z"]]
     p_slots = plan["p_slots"]
+    regs = [(b[j * k : (j + 1) * k], a[j * k : (j + 1) * k]) for j in range(m)]
 
-    def bb(j: int) -> list[int]:
-        return b[j * k : (j + 1) * k]
-
-    def ba(j: int) -> list[int]:
-        return a[j * k : (j + 1) * k]
-
-    blocks = [_first_half(bb(0), ba(0), g_slots[0])]
-    blocks += [init_gates(bb(j), ba(j), g_slots[j], p_slots[j - 1]) for j in range(1, m)]
+    blocks = [_first_half(*regs[0], g_slots[0])]
+    blocks += [init_gates(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
     step1 = [gate for block in blocks for gate in block]
 
     carry, scratch = carry_gates(g_slots, [None, *p_slots], first_scratch=plan["scratch"][0])
@@ -324,7 +313,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # b commute with it
     step4: list[Gate] = []
     for j in range(m):
-        s = sum_gates(bb(j), ba(j), g_slots[j - 1] if j else None)
+        s = sum_gates(*regs[j], g_slots[j - 1] if j else None)
         end = len(s) if j == m - 1 else len(s) - (frame - 1)
         step4 += s[:1] + s[frame:end]
 
@@ -381,9 +370,9 @@ def synth_combined(params: BlockParams) -> Circuit:
     n, m = params.n, params.blocks
     plan = combined_wire_plan(params)
     roles = ripple_roles(n)  # the data wires are laid out as in the ripple adder
-    roles.update({w: f"G{j}" for j, w in enumerate(plan["g_slots"])})
-    roles.update({w: f"P{j}" for j, w in enumerate(plan["p_slots"], 1)})
-    roles.update({w: f"S{i}" for i, w in enumerate(plan["scratch"])})
+    roles.update(_labels("G", plan["g_slots"]))
+    roles.update(_labels("P", plan["p_slots"], 1))
+    roles.update(_labels("S", plan["scratch"]))
     ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
     gates = [gate for _, section in combined_step_gates(params) for gate in section]
     return Circuit._adopt(plan["wire_count"], ancilla, roles, gates, plan["scratch"][-1])

@@ -252,6 +252,9 @@ def shor_dlog_estimate(
       that a synthesized combined adder exists for;
     - fanout(e, f): ``fanout_adder_cost``.
 
+    A parameter the chosen adder does not read (``d`` except for combined,
+    ``e`` and ``f`` except for fanout) raises ``ValueError``.
+
     qubits = 4n + ancilla, depth = c_depth * n**2 * adder_depth,
     size = c_size * n**3.
 
@@ -262,6 +265,15 @@ def shor_dlog_estimate(
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
+    reads = {"ripple": "", "combined": "d", "fanout": "ef"}.get(adder)
+    if reads is None:
+        raise ValueError(f"unknown adder {adder!r}")
+    params = {"n": n, "adder": adder}
+    for name, value in (("d", d), ("e", e), ("f", f)):
+        if value is not None:
+            if name not in reads:
+                raise ValueError(f"the {adder} adder does not take {name}")
+            params[name] = value
     if adder == "ripple":
         forms = ripple_closed_forms(n)
         ancilla = consts.c_anc * forms["ancilla_count"]
@@ -271,15 +283,11 @@ def shor_dlog_estimate(
             raise ValueError("combined adder needs d")
         ancilla = combined_adder_bounds(n, d, consts).ancilla
         adder_depth = combined_adder_bounds(n, d).depth
-    elif adder == "fanout":
+    else:
         if e is None or f is None:
             raise ValueError("fanout adder needs e and f")
         ancilla = fanout_adder_cost(n, e, f, consts).ancilla
         adder_depth = fanout_adder_cost(n, e, f).depth
-    else:
-        raise ValueError(f"unknown adder {adder!r}")
-    params = {"n": n, "adder": adder}
-    params.update((k, v) for k, v in (("d", d), ("e", e), ("f", f)) if v is not None)
     return CostEstimate(
         formula_id=f"shor-dlog+{adder}",
         qubits_total=4 * n + ancilla,

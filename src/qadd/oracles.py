@@ -9,6 +9,10 @@ map, so it is independent of wire-id conventions.  Each factory returns a
 pair ``(per_case, packed)``; the per-case form, which maps one full-width
 bit state to the expected output state, is derived from the packed one as
 a one-case run.
+
+Oracles model the data wires only and pass ancilla columns through as they
+came in.  That every ancilla starts and ends at 0 is checked by ``sim``
+alone, which never compares an oracle's ancilla columns.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ def _pair(packed: Packed) -> tuple[PerCase, Packed]:
     return (lambda state: packed(list(state), 1)), packed
 
 
-def _roles(circuit: Circuit, prefix: str) -> list[int]:
-    by_role = circuit.wires_by_role()
+def _roles(by_role: dict[str, int], prefix: str, start: int = 0) -> list[int]:
+    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to the first gap."""
     out = []
-    i = 0
+    i = start
     while f"{prefix}{i}" in by_role:
         out.append(by_role[f"{prefix}{i}"])
         i += 1
@@ -34,9 +38,8 @@ def _roles(circuit: Circuit, prefix: str) -> list[int]:
 
 def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """In-place addition: B <- bits of a+b, Z <- z ^ s_n, A unchanged."""
-    b = _roles(circuit, "B")
-    a = _roles(circuit, "A")
-    z = circuit.wires_by_role()["Z"]
+    by_role = circuit.wires_by_role()
+    b, a, z = _roles(by_role, "B"), _roles(by_role, "A"), by_role["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -47,8 +50,6 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
             out[b[i]] = ai ^ bi ^ carry
             carry = (ai & bi) | (carry & (ai ^ bi))
         out[z] = cols[z] ^ carry
-        for w in circuit.ancilla:
-            out[w] = 0
         return out
 
     return _pair(packed)
@@ -56,9 +57,8 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Adder steps 1-3: b_i <- b_i^a_i, a_i <- a_i^c_i (i>=1), Z <- z ^ c_n."""
-    b = _roles(circuit, "B")
-    a = _roles(circuit, "A")
-    z = circuit.wires_by_role()["Z"]
+    by_role = circuit.wires_by_role()
+    b, a, z = _roles(by_role, "B"), _roles(by_role, "A"), by_role["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -78,9 +78,8 @@ def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block p/g map: B_i <- a_i^b_i, A_i <- a_i^c_i^prefix_i, G <- c_w, P <- prefix_w."""
-    b = _roles(circuit, "B")
-    a = _roles(circuit, "A")
     by_role = circuit.wires_by_role()
+    b, a = _roles(by_role, "B"), _roles(by_role, "A")
     g, p = by_role["G"], by_role["P"]
     w = len(b)
 
@@ -105,9 +104,9 @@ def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block sum: B_j <- a_j ^ b_j ^ d_j with d_0 the carry-in wire (or 0)."""
-    b = _roles(circuit, "B")
-    a = _roles(circuit, "A")
-    carry_wire = circuit.wires_by_role().get("C")
+    by_role = circuit.wires_by_role()
+    b, a = _roles(by_role, "B"), _roles(by_role, "A")
+    carry_wire = by_role.get("C")
     w = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -124,10 +123,12 @@ def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Prefix generate fold: out g_j = g_j ^ (prefix_{j-1} & p_j)."""
-    g = _roles(circuit, "G")
     by_role = circuit.wires_by_role()
+    g = _roles(by_role, "G")
     m = len(g)
-    p = [None] + [by_role[f"P{i}"] for i in range(1, m)]
+    p = [None, *_roles(by_role, "P", 1)]
+    if len(p) < m:
+        raise KeyError(f"P{len(p)}")
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
         out = list(cols)
@@ -135,8 +136,6 @@ def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
         for j in range(1, m):
             prefix = cols[g[j]] ^ (prefix & cols[p[j]])
             out[g[j]] = prefix
-        for w in circuit.ancilla:
-            out[w] = 0
         return out
 
     return _pair(packed)

@@ -94,10 +94,15 @@ def ripple_wires(n: int) -> tuple[list[int], list[int], int]:
     return [2 * i for i in range(n)], [2 * i + 1 for i in range(n)], 2 * n
 
 
+def _labels(prefix: str, wires: list[int], start: int = 0) -> dict[int, str]:
+    """Role labels ``{prefix}{start}``, ``{prefix}{start + 1}``, ... in wire order."""
+    return {w: f"{prefix}{i}" for i, w in enumerate(wires, start)}
+
+
 def ripple_roles(n: int) -> dict[int, str]:
     b, a, z = ripple_wires(n)
-    roles = {b[i]: f"B{i}" for i in range(n)}
-    roles.update({a[i]: f"A{i}" for i in range(n)})
+    roles = _labels("B", b)
+    roles.update(_labels("A", a))
     roles[z] = "Z"
     return roles
 

@@ -63,19 +63,22 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 def apply_gate(state: Sequence[int], gate: Gate) -> BitState:
     """Apply one gate to a bit state; returns a new state."""
-    return run_packed(Circuit(len(state), gates=(gate,)), state, 1)
+    return run(Circuit(len(state), gates=(gate,)), state)
 
 
 def run(circuit: Circuit, state: Sequence[int]) -> BitState:
     """Run a circuit on one bit state, as a one-case packed run.
 
-    Rejects inputs whose ancilla wires are nonzero rather than silently
-    accepting them.
+    Rejects an entry that is not 0 or 1 (bools count) and inputs whose
+    ancilla wires are nonzero rather than silently accepting them.
     """
     if len(state) != circuit.wire_count:
         raise ValueError(
             f"state has {len(state)} wires, circuit has {circuit.wire_count}"
         )
+    for w, v in enumerate(state):
+        if not isinstance(v, int) or v not in (0, 1):
+            raise ValueError(f"wire {w} holds {v!r}, not a bit")
     bad = [w for w in circuit.ancilla if state[w]]
     if bad:
         raise ValueError(f"ancilla wires {sorted(bad)} must be 0 on input")
@@ -270,6 +273,10 @@ def _check_columns(
     packed_oracle: PackedOracle | None,
     seed: int | None,
 ) -> VerifyReport:
+    """Run ``circuit`` on packed input columns and diff its data wires with
+    the oracle's.  The ancilla rule lives here only: every ancilla output
+    must be 0, the oracle's ancilla columns are never read, and a failure
+    records 0 as each ancilla's expected bit."""
     if packed_oracle is None:
         if oracle is None:
             raise ValueError("need an oracle or a packed oracle")

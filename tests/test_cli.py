@@ -246,3 +246,18 @@ def test_estimate_combined_n_off_a_power_of_two_exits_two(capsys):
     )
     assert code == 2 and not out
     assert "power of two" in err
+
+
+@pytest.mark.parametrize(
+    "flags,unread",
+    [
+        (("--adder", "ripple", "--d", "3"), "d"),
+        (("--f", "4"), "f"),  # the default adder is ripple
+        (("--adder", "combined", "--d", "2", "--e", "8"), "e"),
+        (("--adder", "fanout", "--e", "8", "--f", "4", "--d", "3"), "d"),
+    ],
+)
+def test_estimate_rejects_a_flag_the_adder_does_not_read(capsys, flags, unread):
+    code, out, err = run_cli(capsys, "estimate", "--target", "shor-dlog", "--n", "16", *flags, "--json")
+    assert code == 2 and not out
+    assert f"does not take {unread}" in err

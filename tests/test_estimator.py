@@ -141,6 +141,20 @@ def test_shor_dlog_estimates():
         shor_dlog_estimate(256, "fanout", e=1, f=4)  # e below log*(n)
 
 
+@pytest.mark.parametrize(
+    "adder,kwargs,unread",
+    [
+        ("ripple", {"d": 3}, "d"),
+        ("ripple", {"f": 4}, "f"),
+        ("combined", {"d": 2, "e": 8}, "e"),
+        ("fanout", {"d": 3, "e": 8, "f": 4}, "d"),
+    ],
+)
+def test_shor_dlog_rejects_a_parameter_the_adder_does_not_read(adder, kwargs, unread):
+    with pytest.raises(ValueError, match=f"{adder} adder does not take {unread}"):
+        shor_dlog_estimate(16, adder, **kwargs)
+
+
 def test_combined_adder_bounds_formulas():
     e = combined_adder_bounds(64, 8)
     assert e.ancilla == 3 * 64 / 8

@@ -90,6 +90,23 @@ def test_golden_combined_n8_d2():
     assert len(gate_lines) == 129
 
 
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("init_w3", lambda: synth_init(3)),
+        ("sum_w3", lambda: synth_sum(3)),
+        ("sum_w3_nocarry", lambda: synth_sum(3, with_carry_in=False)),
+        ("carry_n8_l1", lambda: synth_carry(8, 1)),
+    ],
+)
+def test_golden_block_circuits(name, build):
+    # role lines are part of the bytes, so this pins every role label
+    golden = (DATA / f"{name}.qn").read_text()
+    circuit = build()
+    assert export_netlist(circuit) == golden
+    assert parse_netlist(golden) == circuit
+
+
 def _expect_error(text, lineno=None, fragment=""):
     with pytest.raises(NetlistError) as err:
         parse_netlist(text)

@@ -5,7 +5,9 @@ they are themselves checked here against independent evaluations built on
 Python integer arithmetic.
 """
 
-from qadd import BlockParams, splitmix64, synth_carry, synth_combined, synth_init, synth_ripple, synth_sum
+import pytest
+
+from qadd import BlockParams, Circuit, splitmix64, synth_carry, synth_combined, synth_init, synth_ripple, synth_sum
 from qadd.oracles import adder_oracle, carry_fold_oracle, init_oracle, sum_oracle
 from qadd.sim import _enumeration_columns
 
@@ -164,3 +166,24 @@ def test_adder_per_case_matches_integer_addition():
             assert out[by_role["Z"]] == state[by_role["Z"]] ^ (s >> n)
             assert [out[by_role[f"A{i}"]] for i in range(n)] == [(a >> i) & 1 for i in range(n)]
 
+
+
+def test_oracles_pass_ancilla_columns_through():
+    # the ancilla rule is checked by sim alone; the oracles model data wires
+    for circuit, factory in [
+        (synth_combined(BlockParams(8, 2)), adder_oracle),
+        (synth_carry(16, 1), carry_fold_oracle),
+    ]:
+        _, packed = factory(circuit)
+        cols = [0] * circuit.wire_count
+        for w in circuit.ancilla:
+            cols[w] = 0b1011
+        out = packed(cols, 4)
+        assert all(out[w] == 0b1011 for w in circuit.ancilla)
+
+
+def test_carry_fold_oracle_needs_every_propagate_label():
+    good = synth_carry(8, 1)
+    roles = {w: label for w, label in good.role_map.items() if label != "P2"}
+    with pytest.raises(KeyError, match="P2"):
+        carry_fold_oracle(Circuit(good.wire_count, good.ancilla, roles, good.gates))

@@ -102,6 +102,19 @@ def test_run_rejects_nonzero_ancilla():
         run(c, [0, 0, 1])
 
 
+@pytest.mark.parametrize("value", [2, -1, 5])
+def test_run_and_apply_gate_reject_a_non_bit(value):
+    state = [0, 1, value, 0, value]
+    with pytest.raises(ValueError, match=f"wire 2 holds {value}"):
+        run(synth_ripple(2), state)
+    with pytest.raises(ValueError, match=f"wire 1 holds {value}"):
+        apply_gate([1, value], cx(0, 1))
+
+
+def test_run_accepts_bools():
+    assert run(synth_ripple(1), [True, True, False]) == [0, 1, 1]
+
+
 def test_run_length_mismatch():
     with pytest.raises(ValueError):
         run(build_circuit(3), [0, 0])
@@ -368,3 +381,26 @@ def test_per_case_oracle_matches_reference_loop(n_cases, broken):
     assert got.ok is not broken
     if broken and n_cases >= 64:
         assert got.ancilla_violations
+
+
+def _ancilla_all_ones(circuit):
+    """adder_oracle's packed half with every ancilla column set to all ones."""
+    _, packed = adder_oracle(circuit)
+
+    def wrapped(cols, n_cases):
+        out = packed(cols, n_cases)
+        for w in circuit.ancilla:
+            out[w] = (1 << n_cases) - 1
+        return out
+
+    return wrapped
+
+
+def test_check_ignores_the_oracles_ancilla_columns():
+    circuit = synth_combined(BlockParams(8, 2))
+    assert verify_exhaustive(circuit, packed_oracle=_ancilla_all_ones(circuit)).ok
+    broken = _combined_without_first_complement_gate()
+    report = verify_random(broken, packed_oracle=_ancilla_all_ones(broken), trials=64, seed=3)
+    assert report.failures and report.ancilla_violations
+    for _, expected, _ in report.failures:
+        assert all(expected[w] == 0 for w in broken.ancilla)
