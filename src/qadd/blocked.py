@@ -163,6 +163,7 @@ def carry_gates(
         raise ValueError("need m propagate slots (index 0 unused)")
     levels = m.bit_length() - 1
     scratch_count = carry_tree_scratch_count(m, 1)
+    _check_wires((first_scratch,))  # before it offsets a range
     _check_wires(g_wires, p_wires[1:], range(first_scratch, first_scratch + scratch_count))
     p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
     scratch: list[int] = []

@@ -13,6 +13,7 @@ import functools
 import gc
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -59,9 +60,10 @@ class Gate(tuple):
     "length").  All operand wires of one gate must be pairwise distinct.
 
     ``Gate(...)``, the ``x``/``cx``/``ccx``/``fo``/``tg`` helpers and
-    unpickling validate the kind, the arity and the wires.  A gate is a
-    tuple, so readers can unpack it as ``kind, controls, targets``, and it
-    hashes and compares like the plain tuple of its three fields.
+    unpickling validate the kind and the arity, and check the wires by the
+    one wire-id rule, ``_check_wires``.  A gate is a tuple, so readers can
+    unpack it as ``kind, controls, targets``, and it hashes and compares
+    like the plain tuple of its three fields.
     """
 
     __slots__ = ()
@@ -78,11 +80,7 @@ class Gate(tuple):
             raise ValueError(f"{kind.value}: bad control count {len(controls)}")
         if len(targets) < lo_t or (hi_t is not None and len(targets) > hi_t):
             raise ValueError(f"{kind.value}: bad target count {len(targets)}")
-        ops = controls + targets
-        if any(w < 0 for w in ops):
-            raise ValueError(f"{kind.value}: negative wire id in {ops}")
-        if len(set(ops)) != len(ops):
-            raise ValueError(f"{kind.value}: duplicate operand wire in {ops}")
+        _check_wires(controls, targets)
         return _new(cls, (kind, controls, targets))
 
     kind = property(itemgetter(0), doc="The gate's ``GateKind``.")
@@ -158,14 +156,20 @@ def _collector_paused(build):
     return paused
 
 
-def _check_wires(*registers: Iterable[int]) -> None:
-    """Reject caller-supplied wire ids that are negative or not pairwise
-    distinct across all ``registers``."""
-    wires = [w for register in registers for w in register]
+def _check_wires(*registers: Iterable[int]) -> list[int]:
+    """The one rule for a caller's wire ids, for ``Gate``, ``Circuit``, the
+    builders and ``verify_*``: each is an ``int`` (not a bool), non-negative,
+    and all are pairwise distinct across ``registers``, as in a netlist.
+    Returns the ids flattened in order; range checks are the caller's."""
+    wires = list(chain.from_iterable(registers))
+    if not {int}.issuperset(map(type, wires)):
+        bad = next(w for w in wires if type(w) is not int)
+        raise ValueError(f"wire id {bad!r} is not an int")
     if wires and min(wires) < 0:
         raise ValueError(f"negative wire id {min(wires)}")
     if len(set(wires)) != len(wires):
         raise ValueError("wire ids must be pairwise distinct")
+    return wires
 
 
 def x(target: int) -> Gate:
@@ -226,7 +230,9 @@ class Circuit:
 
     Each trust boundary checks once.  ``Circuit(...)``, ``append`` and
     ``extend`` take parts from any caller, so they check every gate against
-    the wire count and every ancilla wire and role label.  The synthesizers,
+    the wire count and every ancilla wire and role label.  The wire count
+    must be an ``int``; ancilla and role wires follow ``_check_wires``, the
+    one wire-id rule, so a duplicate ancilla id raises.  The synthesizers,
     ``parse_netlist`` and ``inverse`` have checked their parts already, so
     they go through the private ``_adopt`` instead, which checks only the
     largest wire the builder used, and the synthesizers and the parser run
@@ -242,21 +248,19 @@ class Circuit:
         role_map: Mapping[int, str] | None = None,
         gates: Iterable[Gate] = (),
     ) -> None:
-        if wire_count <= 0:
-            raise ValueError(f"wire_count must be positive, got {wire_count}")
-        if wire_count > WIRE_CAP:
-            raise ValueError(f"wire_count {wire_count} exceeds the cap of {WIRE_CAP}")
-        self.wire_count = int(wire_count)
-        anc = frozenset(int(w) for w in ancilla)
-        for w in anc:
-            if not 0 <= w < wire_count:
-                raise ValueError(f"ancilla wire {w} out of range for {wire_count} wires")
-        self.ancilla = anc
+        if type(wire_count) is not int or not 1 <= wire_count <= WIRE_CAP:
+            raise ValueError(f"wire count {wire_count!r} is not an int from 1 to the cap {WIRE_CAP}")
+        self.wire_count = wire_count
+        anc = _check_wires(ancilla)
+        if max(anc, default=-1) >= wire_count:
+            raise ValueError(f"ancilla wire {max(anc)} out of range for {wire_count} wires")
+        self.ancilla = frozenset(anc)
         if role_map is not None:
-            roles = {int(w): str(label) for w, label in role_map.items()}
-            for w, label in roles.items():
-                if not 0 <= w < wire_count:
-                    raise ValueError(f"role wire {w} out of range")
+            top = max(_check_wires(role_map), default=-1)
+            if top >= wire_count:
+                raise ValueError(f"role wire {top} out of range for {wire_count} wires")
+            roles = {w: str(label) for w, label in role_map.items()}
+            for label in roles.values():
                 # A label is one netlist token, so it can neither inject a
                 # line nor split into two tokens on export.
                 if label.split() != [label]:
@@ -440,11 +444,14 @@ def max_window_span(circuit: Circuit, layout: Mapping[int, int]) -> int:
     """Largest distance any single gate spans under a line layout.
 
     ``layout`` must map every wire, and nothing else, to a distinct
-    non-negative line position.  Returns max over gates of (max operand
+    non-negative line position; wires and positions are ``int``.  Returns max over gates of (max operand
     position - min operand position); 0 for an empty circuit.
     """
     wire_count = circuit.wire_count
-    positions = {int(w): int(p) for w, p in layout.items()}
+    positions = dict(layout)
+    if {*map(type, positions), *map(type, positions.values())} - {int}:
+        bad = next(v for item in positions.items() for v in item if type(v) is not int)
+        raise ValueError(f"layout entry {bad!r} is not an int")
     try:
         pos = [positions[w] for w in range(wire_count)]
     except KeyError:

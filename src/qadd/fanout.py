@@ -53,7 +53,7 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     2*ceil((t-1)/(f-1)) + 1; f = 1 falls back to a depth-t CNOT chain.
     The circuit is its own inverse.
     """
-    targets = tuple(int(w) for w in targets)
+    targets = tuple(targets)
     gates = fanout_tree_gates(source, targets, f)
     top = max(source, *targets)
     return Circuit._adopt(top + 1, (), None, gates, top)

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, _check_wires
 
 #: One classical bit per wire.
 BitState = list[int]
@@ -277,9 +277,9 @@ def _check_columns(
     the oracle's.  The ancilla rule lives here only: every ancilla output
     must be 0, the oracle's ancilla columns are never read, and a failure
     records 0 as each ancilla's expected bit."""
+    if (oracle is None) == (packed_oracle is None):
+        raise ValueError("pass exactly one of oracle= and packed_oracle=")
     if packed_oracle is None:
-        if oracle is None:
-            raise ValueError("need an oracle or a packed oracle")
         packed_oracle = _packed_from_per_case(circuit, oracle)
     wc = circuit.wire_count
     out_cols = run_packed(circuit, in_cols, n_cases)
@@ -338,14 +338,12 @@ def _check_random_request(trials: int, width: int) -> None:
 def _resolve_free(circuit: Circuit, free_wires: Iterable[int] | None) -> list[int]:
     if free_wires is None:
         return [w for w in range(circuit.wire_count) if w not in circuit.ancilla]
-    free = sorted(int(w) for w in free_wires)
+    free = sorted(_check_wires(free_wires))
     for w in free:
-        if not 0 <= w < circuit.wire_count:
+        if w >= circuit.wire_count:
             raise ValueError(f"free wire {w} out of range")
         if w in circuit.ancilla:
             raise ValueError(f"ancilla wire {w} cannot be enumerated")
-    if len(set(free)) != len(free):
-        raise ValueError("free wires must be distinct")
     return free
 
 

@@ -167,6 +167,17 @@ def test_max_window_span_names_what_is_wrong_with_the_layout(extra, message):
         max_window_span(synth_ripple(2), layout)
 
 
+@pytest.mark.parametrize(
+    "layout", [{0: 0.9, 1: 1.2, 2: 2.7}, {0: 0, 1.0: 1, 2: 2}, {0: 0, 1: True, 2: 2}]
+)
+def test_max_window_span_rejects_a_layout_entry_that_is_not_an_int(layout):
+    # int() used to truncate the first layout to 0, 1, 2, where cx(0, 2)
+    # reads span 2.
+    c = Circuit(3, gates=[cx(0, 2)])
+    with pytest.raises(ValueError, match="is not an int"):
+        max_window_span(c, layout)
+
+
 def _involution_cases(gate, width):
     for bits in range(1 << width):
         state = [(bits >> i) & 1 for i in range(width)]

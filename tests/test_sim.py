@@ -197,6 +197,16 @@ def test_verify_needs_an_oracle():
         verify_exhaustive(build_circuit(2))
 
 
+@pytest.mark.parametrize("verify", [verify_exhaustive, verify_random])
+def test_verify_rejects_both_oracles(verify):
+    # The per-case oracle here is wrong on every case; it used to be
+    # ignored whenever a packed oracle came with it.
+    c = synth_ripple(3)
+    _, packed = adder_oracle(c)
+    with pytest.raises(ValueError, match="oracle= and packed_oracle="):
+        verify(c, oracle=lambda s: [1] * len(s), packed_oracle=packed)
+
+
 def test_verify_detects_mutation():
     c = synth_ripple(3)
     broken = Circuit(c.wire_count, role_map=c.role_map)
