@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, _ccx, _check_wires, _collector_paused, _cx, _x
-from .ripple import _first_half, _labels, ripple_roles, ripple_wires
+from .circuit import Circuit, Gate, _ccx, _check_size, _check_wires, _collector_paused, _cx, _x
+from .ripple import _check_registers, _first_half, _labels, ripple_roles, ripple_wires
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,17 @@ class BlockParams:
     """Operand width n (a power of two) and depth parameter d >= 2.
 
     Derived: block width k = 2**floor(log2(d)), tree level l = floor(log2(d))+1,
-    block count n/k.  Requires n divisible by k and n/k >= 4.
+    block count n/k.  Requires n/k >= 4.
     """
 
     n: int
     d: int
 
     def __post_init__(self) -> None:
-        if self.n < 8 or self.n & (self.n - 1):
+        _check_size("n", self.n, 8)
+        if self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        if self.n % self.k:
-            raise ValueError(f"n={self.n} not divisible by block width {self.k}")
+        _check_size("d", self.d, 2)
         if self.n // self.k < 4:
             raise ValueError(
                 f"need at least 4 blocks, got {self.n // self.k} (n={self.n}, d={self.d})"
@@ -78,6 +76,11 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
     if w < 2 or len(scratch) != w - 1:
         raise ValueError("need w >= 2 conjuncts and w-1 scratch wires")
     _check_wires(conjuncts, scratch, (target,))
+    return _ladder(conjuncts, scratch, target)
+
+
+def _ladder(conjuncts: list[int], scratch: list[int], target: int) -> list[Gate]:
+    w = len(conjuncts)
     gates: list[Gate] = [_ccx(conjuncts[w - 1], scratch[w - 2], target)]
     for j in range(w - 1, 1, -1):
         gates.append(_ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
@@ -97,13 +100,14 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
     the block propagate into p.  3w-2 Toffoli gates: w from the adder first
     half, 2w-2 from the prefix-AND ladder.
     """
-    w = len(b)
-    if w < 2 or len(a) != w:
-        raise ValueError("block width must be >= 2 with equal registers")
-    _check_wires(b, a, (g, p))
+    _check_registers(b, a, 2, g, p)
+    return _init(b, a, g, p)
+
+
+def _init(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
     gates = _first_half(b, a, g)
     gates.append(_cx(a[0], b[0]))
-    gates += prefix_and_ladder_gates(conjuncts=b, scratch=a[1:], target=p)
+    gates += _ladder(b, a[1:], p)
     return gates
 
 
@@ -115,10 +119,12 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
     The carry wire and the a register are unchanged.  2w-2 Toffoli gates
     for width w >= 1.
     """
+    _check_registers(b, a, 1, *(() if carry is None else (carry,)))
+    return _sum(b, a, carry)
+
+
+def _sum(b: list[int], a: list[int], carry: int | None) -> list[Gate]:
     w = len(b)
-    if w < 1 or len(a) != w:
-        raise ValueError("block width must be >= 1 with equal registers")
-    _check_wires(b, a, () if carry is None else (carry,))
     gates: list[Gate] = []
     gates += [_cx(a[i], b[i]) for i in range(w)]
     gates += [_cx(a[i], a[i + 1]) for i in range(w - 2, -1, -1)]
@@ -161,10 +167,19 @@ def carry_gates(
         raise ValueError(f"block count must be a power of two >= 4, got {m}")
     if len(p_wires) != m:
         raise ValueError("need m propagate slots (index 0 unused)")
+    # a first_scratch that is not an int cannot offset a range: check it alone
+    scratch = (first_scratch,)
+    if type(first_scratch) is int:
+        scratch = range(first_scratch, first_scratch + carry_tree_scratch_count(m, 1))
+    _check_wires(g_wires, p_wires[1:], scratch)
+    return _carry(g_wires, p_wires, first_scratch)
+
+
+def _carry(
+    g_wires: list[int], p_wires: list[int | None], first_scratch: int
+) -> tuple[list[Gate], list[int]]:
+    m = len(g_wires)
     levels = m.bit_length() - 1
-    scratch_count = carry_tree_scratch_count(m, 1)
-    _check_wires((first_scratch,))  # before it offsets a range
-    _check_wires(g_wires, p_wires[1:], range(first_scratch, first_scratch + scratch_count))
     p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
     scratch: list[int] = []
     gates: list[Gate] = []
@@ -213,15 +228,14 @@ def synth_init(w: int) -> Circuit:
     G and P are expected to be 0 on input but hold outputs afterwards, so
     they are not declared in the circuit's (restored) ancilla set.
     """
-    if w < 2:
-        raise ValueError("block width must be >= 2")
+    _check_size("w", w, 2)
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
     roles = _labels("B", b)
     roles.update(_labels("A", a))
     roles[g] = "G"
     roles[p] = "P"
-    return Circuit._adopt(2 * w + 2, (), roles, init_gates(b, a, g, p), p)
+    return Circuit._adopt(2 * w + 2, (), roles, _init(b, a, g, p), p)
 
 
 @_collector_paused
@@ -231,8 +245,9 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     With a carry-in the wires are C=0, B_i=1+2i, A_i=2+2i; the simplified
     form drops the carry wire (B_i=2i, A_i=2i+1).  No ancilla.
     """
-    if w < 1:
-        raise ValueError("block width must be >= 1")
+    _check_size("w", w, 1)
+    if type(with_carry_in) is not bool:
+        raise ValueError(f"with_carry_in must be a bool, got {with_carry_in!r}")
     offset = int(with_carry_in)  # the carry wire, when there is one, is wire 0
     b = [offset + 2 * i for i in range(w)]
     a = [offset + 2 * i + 1 for i in range(w)]
@@ -240,11 +255,13 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     roles.update(_labels("B", b))
     roles.update(_labels("A", a))
     carry = 0 if with_carry_in else None
-    return Circuit._adopt(2 * w + offset, (), roles, sum_gates(b, a, carry), a[-1])
+    return Circuit._adopt(2 * w + offset, (), roles, _sum(b, a, carry), a[-1])
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
     """Scratch-wire bound for the carry tree: sum_{t=l}^{log2(n)-1} (n/2**t - 1)."""
+    _check_size("n", n, 1)
+    _check_size("l", l, 1)
     return sum((n >> t) - 1 for t in range(l, n.bit_length() - 1))
 
 
@@ -256,16 +273,16 @@ def synth_carry(n: int, l: int) -> Circuit:
     P1..P{m-1} first (ids 0..m-2), then generate wires G0..G{m-1}
     (ids m-1..2m-2), then scratch ancillae.
     """
-    if n < 2 or n & (n - 1):
+    _check_size("n", n, 4)
+    if n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    if l < 1:
-        raise ValueError("l must be >= 1")
+    _check_size("l", l, 1)
     m = n >> (l - 1)
     if m < 4:
         raise ValueError(f"need n/2**(l-1) >= 4, got {m}")
     p_wires = list(range(m - 1))
     g_wires = list(range(m - 1, 2 * m - 1))
-    gates, scratch = carry_gates(g_wires, [None, *p_wires], first_scratch=2 * m - 1)
+    gates, scratch = _carry(g_wires, [None, *p_wires], 2 * m - 1)
     roles = _labels("P", p_wires, 1)
     roles.update(_labels("G", g_wires))
     roles.update(_labels("S", scratch))
@@ -293,10 +310,10 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     regs = [(b[j * k : (j + 1) * k], a[j * k : (j + 1) * k]) for j in range(m)]
 
     blocks = [_first_half(*regs[0], g_slots[0])]
-    blocks += [init_gates(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
+    blocks += [_init(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
     step1 = [gate for block in blocks for gate in block]
 
-    carry, scratch = carry_gates(g_slots, [None, *p_slots], first_scratch=plan["scratch"][0])
+    carry, scratch = _carry(g_slots, [None, *p_slots], plan["scratch"][0])
 
     # step 3: undo step 1 behind each block's frame (its first 2k-2 gates)
     # except on the carry slots, which keep their value
@@ -307,14 +324,14 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     ]
     step3 = [g for tail in reversed(tails) for g in reversed(tail)]
 
-    # step 4: sum_gates opens with cx(a0, b0) and the frame's 2k-3 gates
+    # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates
     # off the carry slot, which step 3 left in place, so they are skipped.
     # It closes by undoing those 2k-3 gates; blocks below the top skip that
     # too and stay in the frame for step 6, as the complement's X gates on
     # b commute with it
     step4: list[Gate] = []
     for j in range(m):
-        s = sum_gates(*regs[j], g_slots[j - 1] if j else None)
+        s = _sum(*regs[j], g_slots[j - 1] if j else None)
         end = len(s) if j == m - 1 else len(s) - (frame - 1)
         step4 += s[:1] + s[frame:end]
 

@@ -104,10 +104,11 @@ class Gate(tuple):
         return f"Gate(kind={self[0]!r}, controls={self[1]!r}, targets={self[2]!r})"
 
 
-# The synthesizers build gates unchecked, through ``tuple.__new__``: they
-# check the wires they are given once, up front (``_check_wires``), emit only
-# gates of the right arity, and hand the list to ``Circuit._adopt``, which
-# checks once that the largest wire they used is below the wire count.
+# The synthesizers build gates unchecked, through ``tuple.__new__``: a public
+# builder checks its request once, up front (``_check_wires``, ``_check_size``),
+# the package calls only the unchecked bodies, on wires it derived itself, and
+# each emits only gates of the right arity and hands them to ``Circuit._adopt``,
+# which checks once that the largest wire used is below the wire count.
 # ``parse_netlist`` builds and adopts its gates the same way, after checking
 # each gate line where it stands.  Everything else goes through ``Gate(...)``
 # and the per-gate checks of ``Circuit``.
@@ -170,6 +171,13 @@ def _check_wires(*registers: Iterable[int]) -> list[int]:
     if len(set(wires)) != len(wires):
         raise ValueError("wire ids must be pairwise distinct")
     return wires
+
+
+def _check_size(name: str, value: int, least: int) -> None:
+    """The one rule for a caller's size parameter (a width, a count, a
+    bound): an ``int``, not a bool, and at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"need an int {name} >= {least}, got {value!r}")
 
 
 def x(target: int) -> Gate:

@@ -139,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if exhaustive:
         _check_exhaustive_request(free)
     else:
-        _check_random_request(args.trials, free)
+        _check_random_request(args.trials, free, args.seed)
     circuit = _build(args)
     if args.kind == "fanout-tree":
         _, packed = fanout_oracle(circuit, 0, list(range(1, args.t + 1)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate, _check_wires, _collector_paused, _cx, _fo
+from .circuit import Circuit, Gate, _check_size, _check_wires, _collector_paused, _cx, _fo
 
 
 def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
@@ -21,8 +21,7 @@ def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]
     targets = tuple(targets)
     if not targets:
         raise ValueError("need at least one target")
-    if f < 1:
-        raise ValueError("fan-out length bound must be >= 1")
+    _check_size("f", f, 1)
     _check_wires((source,), targets)
     t = len(targets)
     if f == 1:

@@ -10,7 +10,7 @@ spans more than 3 adjacent positions.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, _ccx, _check_wires, _collector_paused, _cx
+from .circuit import Circuit, Gate, _ccx, _check_size, _check_wires, _collector_paused, _cx
 
 
 def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
@@ -22,10 +22,10 @@ def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
     return [_cx(a, c), _cx(a, b), _ccx(c, b, a)]
 
 
-def _check_registers(b: list[int], a: list[int], extra: int) -> None:
-    if len(b) < 1 or len(a) != len(b):
-        raise ValueError("need two registers of equal positive width")
-    _check_wires(b, a, (extra,))
+def _check_registers(b: list[int], a: list[int], least: int, *extra: int) -> None:
+    if len(b) < least or len(a) != len(b):
+        raise ValueError(f"need two registers of equal width >= {least}")
+    _check_wires(b, a, extra)
 
 
 def _first_half(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
@@ -48,7 +48,11 @@ def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
     high carry.  For n in {1, 2} some steps have empty ranges; the circuit
     is still a correct adder there.
     """
-    _check_registers(b, a, z)
+    _check_registers(b, a, 1, z)
+    return _ripple_add(b, a, z)
+
+
+def _ripple_add(b: list[int], a: list[int], z: int) -> list[Gate]:
     n = len(b)
     aa = list(a) + [z]  # aa[n] holds z
     gates = _first_half(b, a, z)
@@ -71,15 +75,14 @@ def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[G
     XORs the full carry c_n into ``carry_out``.  Contains exactly n
     Toffoli gates.
     """
-    _check_registers(b, a, carry_out)
+    _check_registers(b, a, 1, carry_out)
     return _first_half(b, a, carry_out)
 
 
 def ripple_closed_forms(n: int) -> dict[str, int]:
     """Exact statistics of ``synth_ripple(n)`` for n >= 3, keyed as in
     ``CircuitStats.to_json_dict``."""
-    if n < 3:
-        raise ValueError(f"the ripple closed forms hold for n >= 3, got {n}")
+    _check_size("n", n, 3)
     return {
         "depth": 5 * n - 3,
         "size": 7 * n - 6,
@@ -110,10 +113,9 @@ def ripple_roles(n: int) -> dict[int, str]:
 @_collector_paused
 def synth_ripple(n: int) -> Circuit:
     """Ripple adder over 2n+1 wires (no ancilla)."""
-    if n < 1:
-        raise ValueError("operand width must be >= 1")
+    _check_size("n", n, 1)
     b, a, z = ripple_wires(n)
-    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), ripple_add_gates(b, a, z), z)
+    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), _ripple_add(b, a, z), z)
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind, _check_wires
+from .circuit import Circuit, Gate, GateKind, _check_size, _check_wires
 
 #: One classical bit per wire.
 BitState = list[int]
@@ -323,11 +323,12 @@ def _check_exhaustive_request(width: int) -> None:
         )
 
 
-def _check_random_request(trials: int, width: int) -> None:
-    """Reject a seeded run of ``trials`` over ``width`` free wires before
-    anything is allocated for it."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def _check_random_request(trials: int, width: int, seed: int) -> None:
+    """Reject a seeded run of ``trials`` over ``width`` free wires, or a seed
+    that is not an int, before anything is allocated for it."""
+    _check_size("trials", trials, 1)
+    if type(seed) is not int:
+        raise ValueError(f"seed {seed!r} is not an int")
     if trials * width > RANDOM_INPUT_BIT_CAP:
         raise ValueError(
             f"{trials} trials x {width} free wires exceed the seeded input "
@@ -396,6 +397,6 @@ def verify_random(
     0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
     """
     free = _resolve_free(circuit, free_wires)
-    _check_random_request(trials, len(free))
+    _check_random_request(trials, len(free), seed)
     cols = _random_columns(circuit, free, trials, seed)
     return _check_columns(circuit, cols, trials, oracle, packed_oracle, seed)
