@@ -3,7 +3,9 @@
 Asymptotic cost statements are reified as concrete formulas whose
 multiplicative constants live in a ``ConstantPack`` (all defaulting to 1).
 The estimates claim formula shape, monotonicity, and dominance over the
-synthesized circuits, never that the constants are tight.
+synthesized circuits, never that the constants are tight.  Every size
+parameter (``t``, ``m``, ``n``, ``d``, ``e``, ``f``) follows the package's
+one size rule: an ``int``, not a bool, at least its least value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .blocked import BlockParams
+from .circuit import _check_size
 from .ripple import ripple_closed_forms
 
 #: Committed additive constant for the combined adder's Toffoli-depth bound
@@ -141,8 +144,8 @@ def tt_cost(t: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEst
     this composite are a depth O(log t/log f + 1), size O(t log t)
     reduction of a t-wide OR to O(log t) bits, iterated log*-many times.)
     """
-    if t < 2 or f < 2:
-        raise ValueError("need t >= 2 and f >= 2")
+    _check_size("t", t, 2)
+    _check_size("f", f, 2)
     depth = consts.c_depth * (math.log2(t) / math.log2(f) + consts.c_logstar * log_star(t))
     size = consts.c_size * t
     ancilla = consts.c_anc * t
@@ -163,8 +166,8 @@ def gcla_cost(m: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostE
     ancilla = size = c * m * log**(m);
     depth = c_depth * (log2(m)/log2(f) + c_logstar * log*(m * log**(m))).
     """
-    if m < 2 or f < 2:
-        raise ValueError("need m >= 2 and f >= 2")
+    _check_size("m", m, 2)
+    _check_size("f", f, 2)
     mll = m * log_star_star(m)
     depth = consts.c_depth * (
         math.log2(m) / math.log2(f) + consts.c_logstar * log_star(mll)
@@ -189,8 +192,9 @@ def fanout_adder_cost(
     Requires e >= log*(n).  ancilla = c_anc * n * log**(n) / e,
     depth = c_depth * e, size = c_size * n.
     """
-    if n < 2 or f < 2:
-        raise ValueError("need n >= 2 and f >= 2")
+    _check_size("n", n, 2)
+    _check_size("e", e, 1)
+    _check_size("f", f, 2)
     if e < log_star(n):
         raise ValueError(f"depth parameter e={e} below log*(n)={log_star(n)}")
     ancilla = consts.c_anc * n * log_star_star(n) / e
@@ -263,8 +267,7 @@ def shor_dlog_estimate(
     bounds only the Toffoli depth.  At n = 16, d = 2 they give 19712 and
     10240; the combined adder's measured full depth of 45 would give 11520.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
+    _check_size("n", n, 4)
     reads = {"ripple": "", "combined": "d", "fanout": "ef"}.get(adder)
     if reads is None:
         raise ValueError(f"unknown adder {adder!r}")

@@ -42,8 +42,18 @@ MAX_RECORDED_FAILURES = 32
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-#: Stream bits transposed per chunk by ``_random_columns``.
+#: Stream bits drawn per ``_splitmix64_block`` call by ``_random_columns``,
+#: which keeps the block's 128-bit-lane temporaries to 128 KiB each.
 _CHUNK_BITS = 1 << 19
+
+#: Stream bits transposed per chunk by ``_random_columns`` (2 MiB).
+_TRANSPOSE_BITS = 1 << 24
+
+#: Delta-swap rounds of an 8 x 8 bit transpose: (distance, mask of one lane).
+_TRANSPOSE8_ROUNDS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
+
+#: 8-byte lanes per pass of ``_transpose_bytes8`` (32 KiB).
+_TRANSPOSE8_LANES = 1 << 12
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -188,6 +198,33 @@ def _splitmix64_block(seed: int, start: int, count: int) -> bytes:
     return packed[::2].tobytes()
 
 
+def _transpose_bytes8(lanes: bytes) -> bytearray:
+    """Transpose the 8 x 8 bit matrix in every 8-byte lane of ``lanes``
+    (not empty): bit ``b`` of byte ``r`` becomes bit ``r`` of byte ``b``.
+
+    Up to ``_TRANSPOSE8_LANES`` lanes go at once, by the lane trick of
+    ``_splitmix64_block``: each round is one delta swap over one int
+    (Warren, *Hacker's Delight*, 2nd ed., section 7-3), and no masked bit
+    moves out of its 64-bit lane.  Passes of that size keep the masks and
+    temporaries small, whatever the length of ``lanes``.
+    """
+    size = 8 * min(len(lanes) // 8, _TRANSPOSE8_LANES)
+    rounds = [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * (size // 8), "little"))
+        for shift, mask in _TRANSPOSE8_ROUNDS
+    ]
+    out = bytearray(len(lanes))
+    view = memoryview(lanes)
+    for start in range(0, len(lanes), size):
+        piece = view[start : start + size]
+        z = int.from_bytes(piece, "little")
+        for shift, mask in rounds:
+            t = (z ^ (z >> shift)) & mask
+            z ^= t ^ (t << shift)
+        out[start : start + size] = z.to_bytes(len(piece), "little")
+    return out
+
+
 def _random_columns(
     circuit: Circuit, free: Sequence[int], trials: int, seed: int
 ) -> list[int]:
@@ -195,33 +232,72 @@ def _random_columns(
     bit stream (words flattened LSB-first) drives free wire ``free[j]`` in
     that trial.
 
-    Trials are transposed in chunks of about ``_CHUNK_BITS`` stream bits
-    (at least 64 trials): each chunk's words are rendered as one binary
-    string, and each wire's column piece is one strided slice of it
-    (MSB-first, so trial order comes out right).  Time is linear in
-    ``trials``.  Each column is built up as bytes and swapped for its int
-    at the end, so apart from the columns the extra memory is one chunk.
+    Trials are transposed in chunks of about ``_TRANSPOSE_BITS`` stream
+    bits (at least 64 trials), each drawn in blocks of ``_CHUNK_BITS``.  In
+    a chunk, trials ``8g .. 8g+7`` are the 8 rows of group ``g``, and byte
+    ``q`` of every row of every group is one strided byte slice of the
+    chunk shifted by the row's offset.  Those bytes are laid out as one
+    8 x 8 bit matrix per (byte, group) lane, ``_transpose_bytes8``
+    transposes thousands of lanes per big-int operation, and each wire's
+    column piece is one strided slice of the result.
+    So the Python-level work is linear in the wires per chunk, with no
+    loop over trials, and the time is linear in ``trials``.
+
+    Each column is written in place into a byte buffer of its final size
+    and swapped for its int at the end.  Apart from the columns, the extra
+    memory is about three chunk-sized buffers while a chunk is
+    transposed (2 MiB each, or 64 trials' worth above 2**18 wires), and
+    one column while the buffers are swapped for ints.
     """
     cols = [0] * circuit.wire_count
     width = len(free)
     if width == 0:
         return cols
     # A multiple of 64 trials keeps every chunk word- and byte-aligned.
-    step = max(64, _CHUNK_BITS // width // 64 * 64)
-    bufs = [bytearray() for _ in free]
+    step = max(64, _TRANSPOSE_BITS // width // 64 * 64)
+    block = _CHUNK_BITS // 64
+    row_bytes = (width + 7) // 8
+    bufs = [bytearray((trials + 7) // 8) for _ in free]
     for first in range(0, trials, step):
         n = min(step, trials - first)
-        n_words = -(-n * width // 64)
-        words = _splitmix64_block(seed, first * width // 64, n_words)
-        length = 64 * n_words
-        bits = format(int.from_bytes(words, "little"), f"0{length}b")
-        top = length - 1 - (n - 1) * width
-        n_bytes = (n + 7) // 8
+        start, n_words = first * width // 64, -(-n * width // 64)
+        words = b"".join(
+            _splitmix64_block(seed, start + k, min(block, n_words - k))
+            for k in range(0, n_words, block)
+        )
+        groups = (n + 7) // 8
+        # Stream bits past the last group's span are never read.
+        chunk = int.from_bytes(memoryview(words)[: groups * width], "little")
+        del words
+        # Row r of group g starts at bit r*width of the group's span of
+        # ``width`` bytes, so byte q of it is byte g*width + q of the chunk
+        # shifted down by r*width.  A row's last byte also holds bits of the
+        # next row; they land only in the bytes of wires past the last.
+        # Each chunk-sized buffer is dropped once read, so at most three
+        # are alive at a time.
+        matrix = bytearray(8 * row_bytes * groups)
+        for r in range(8):
+            row = chunk.to_bytes(groups * width, "little")
+            matrix[r::8] = b"".join([row[q::width] for q in range(row_bytes)])
+            del row
+            chunk >>= width
+        del chunk
+        out = _transpose_bytes8(matrix)
+        del matrix
+        at = first // 8
         for j, buf in enumerate(bufs):
-            buf += int(bits[top - j : length - j : width], 2).to_bytes(n_bytes, "little")
-    for w, buf in zip(free, bufs):
-        cols[w] = int.from_bytes(buf, "little")
-        buf.clear()  # free each buffer as its column replaces it
+            q, b = divmod(j, 8)
+            buf[at : at + groups] = out[8 * q * groups + b : 8 * (q + 1) * groups : 8]
+    # The rows of the last group past the last trial read stream bits beyond
+    # it, which land in the last byte of each column.
+    last = (1 << (trials - 1) % 8 + 1) - 1
+    for i, w in enumerate(free):
+        bufs[i][-1] &= last
+        cols[w] = int.from_bytes(bufs[i], "little")
+        # Drop each buffer whole as its column replaces it: ``clear`` would
+        # keep a stub allocation that stops freed neighbours from merging,
+        # and the next column's int, a little larger, would not fit in them.
+        bufs[i] = None
     return cols
 
 
@@ -386,9 +462,12 @@ def verify_random(
     ``_random_columns`` for the exact bit assignment), so identical seeds
     give identical trial sequences and byte-identical reports.  Generating
     them takes time linear in ``trials``, and the extra memory beyond the
-    input columns is bounded by one chunk of about 2**19 stream bits (at
-    least 64 trials).  ``trials * len(free wires)`` is capped at
-    ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.
+    input columns is about three chunks of 2**24 stream bits (at least 64
+    trials each) plus one column.  ``trials * len(free wires)`` is capped
+    at ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.  At
+    the cap, generating the inputs took 6.2-7.3 s and peaked at 158-189 MB
+    RSS for 128 MiB of columns (7, 64 and 2049 free wires, CPython 3.11 on
+    one core of a 2-vCPU Xeon).
 
     ``packed_oracle=`` is the fast path: one call computes every case's
     expected columns.  A per-case ``oracle=`` costs one Python call and one

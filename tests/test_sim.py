@@ -1,6 +1,9 @@
+import hashlib
 import json
+import random
 import struct
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +28,12 @@ from qadd import (
     verify_random,
     x,
 )
+from qadd import sim
 from qadd.blocked import combined_step_gates
 from qadd.oracles import adder_oracle
 from qadd.sim import (
     _CHUNK_BITS,
+    _TRANSPOSE_BITS,
     RANDOM_INPUT_BIT_CAP,
     _case_bits,
     _check_columns,
@@ -36,6 +41,7 @@ from qadd.sim import (
     _enumeration_columns,
     _random_columns,
     _splitmix64_block,
+    _transpose_bytes8,
 )
 
 
@@ -324,6 +330,125 @@ def test_random_columns_match_reference_property(data, width, trials, seed):
     assert _random_columns(c, free, trials, seed) == _random_columns_reference(
         c, free, trials, seed
     )
+
+
+def _random_columns_strided_reference(circuit, free, trials, seed):
+    """The strided-string generator that the transpose replaced, kept as a
+    linear-time reference: it renders each chunk of about ``_CHUNK_BITS``
+    stream bits as one binary string and parses one strided slice per wire."""
+    cols = [0] * circuit.wire_count
+    width = len(free)
+    if width == 0:
+        return cols
+    # A multiple of 64 trials keeps every chunk word- and byte-aligned.
+    step = max(64, _CHUNK_BITS // width // 64 * 64)
+    bufs = [bytearray() for _ in free]
+    for first in range(0, trials, step):
+        n = min(step, trials - first)
+        n_words = -(-n * width // 64)
+        words = _splitmix64_block(seed, first * width // 64, n_words)
+        length = 64 * n_words
+        bits = format(int.from_bytes(words, "little"), f"0{length}b")
+        top = length - 1 - (n - 1) * width
+        n_bytes = (n + 7) // 8
+        for j, buf in enumerate(bufs):
+            buf += int(bits[top - j : length - j : width], 2).to_bytes(n_bytes, "little")
+    for w, buf in zip(free, bufs):
+        cols[w] = int.from_bytes(buf, "little")
+        buf.clear()  # free each buffer as its column replaces it
+    return cols
+
+
+def _all_free_columns(width, trials, seed):
+    c = Circuit(width)
+    free = list(range(width))
+    return _random_columns(c, free, trials, seed), _random_columns_strided_reference(
+        c, free, trials, seed
+    )
+
+
+def test_random_columns_are_pinned_at_the_workload_shapes():
+    # sha256 of every column's bytes, and of a failing report's JSON, as the
+    # strided-string generator made them.  A passing report holds no inputs,
+    # so these pins are what shows a changed bit assignment.
+    def column_digest(circuit, trials):
+        free = [w for w in range(circuit.wire_count) if w not in circuit.ancilla]
+        cols = _random_columns(circuit, free, trials, 1)
+        return hashlib.sha256(b"".join(_column_bytes(c, trials) for c in cols)).hexdigest()
+
+    assert column_digest(synth_ripple(1024), 8000) == (
+        "d10ebc71e0177119b7ce10b1ccc8ce237e54d7e50bffea12670a3d561365f8f8"
+    )
+    assert column_digest(synth_combined(BlockParams(4096, 12)), 1000) == (
+        "32adc814022c196295b3abb0d5dbebdfcde0d1c1994b1566f7225c81026c944b"
+    )
+    good = synth_ripple(64)
+    half = len(good.gates) // 2
+    broken = Circuit(
+        good.wire_count, good.ancilla, good.role_map, good.gates[:half] + good.gates[half + 1 :]
+    )
+    report = verify_random(broken, packed_oracle=adder_oracle(broken)[1], trials=500, seed=3)
+    assert report.failures
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "4fc0750a84f363a7bfd9aaec041bfbbef6386bbef71a2665f9922af71b0c76ef"
+    )
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 2049, 8193])
+def test_random_columns_match_strided_reference_at_byte_edges(width):
+    for trials in (1, 7, 8, 9, 64, 65, 131):
+        got, want = _all_free_columns(width, trials, seed=width)
+        assert got == want
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 2049])
+def test_random_columns_match_strided_reference_across_transpose_chunks(monkeypatch, width):
+    monkeypatch.setattr(sim, "_TRANSPOSE_BITS", 1 << 10)
+    step = max(64, (1 << 10) // width // 64 * 64)
+    for trials in (step - 1, step, step + 1, 2 * step + 3):
+        got, want = _all_free_columns(width, trials, seed=2**64 - width)
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    wire_count=st.integers(1, 300),
+    trials=st.integers(1, 700),
+    seed=st.integers(-(2**65), 2**70),
+    transpose_bits=st.sampled_from([1 << 10, 1 << 12, _TRANSPOSE_BITS]),
+)
+def test_random_columns_match_strided_reference_property(
+    data, wire_count, trials, seed, transpose_bits
+):
+    ancilla = data.draw(st.sets(st.integers(0, wire_count - 1), max_size=wire_count - 1))
+    data_wires = [w for w in range(wire_count) if w not in ancilla]
+    free = sorted(data.draw(st.sets(st.sampled_from(data_wires), min_size=1)))
+    c = Circuit(wire_count, ancilla=ancilla)
+    with mock.patch.object(sim, "_TRANSPOSE_BITS", transpose_bits):
+        got = _random_columns(c, free, trials, seed)
+    assert got == _random_columns_strided_reference(c, free, trials, seed)
+    assert all(got[w] == 0 for w in range(wire_count) if w not in free)
+
+
+def _transpose8_reference(lane):
+    """Bit b of byte r goes to bit r of byte b, one bit at a time."""
+    out = bytearray(8)
+    for r in range(8):
+        for b in range(8):
+            if lane[r] >> b & 1:
+                out[b] |= 1 << r
+    return bytes(out)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 100, 4097])
+def test_transpose_bytes8_matches_per_bit_reference(count):
+    rng = random.Random(count)
+    lanes = b"\xff" * 8 + b"\x01\x02\x04\x08\x10\x20\x40\x80" + rng.randbytes(8 * count)
+    want = b"".join(_transpose8_reference(lanes[i : i + 8]) for i in range(0, len(lanes), 8))
+    got = _transpose_bytes8(lanes)
+    assert got == want
+    assert _transpose_bytes8(got) == lanes
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """One size rule, and each request checked once.
 
-A size parameter (a width, a count, a bound, ``trials``) is an ``int``, not a
-bool, and at least its least value; anything else raises ``ValueError``.
-``True`` used to build a one-bit adder and ``2.0`` or ``None`` to fail with
-``TypeError``.  The seed of ``verify_random`` is any int, and
+A size parameter (a width, a count, a bound, ``trials``, an estimator's
+``t``, ``m``, ``n``, ``e`` or ``f``) is an ``int``, not a bool, and at least
+its least value; anything else raises ``ValueError``.  ``True`` used to build
+a one-bit adder and ``2.0`` or ``None`` to fail with ``TypeError``, and the
+estimator accepted ``tt_cost(16.0, 2)`` and ``fanout_adder_cost(16, 8.5, 2)``.  The seed of ``verify_random`` is any int, and
 ``with_carry_in`` of ``synth_sum`` a bool.
 
 A public builder checks the wires it is given once.  The package's own
@@ -34,6 +35,7 @@ from qadd import (
     synth_sum,
     verify_random,
 )
+from qadd.estimator import fanout_adder_cost, gcla_cost, shor_dlog_estimate, tt_cost
 from qadd import blocked, fanout, ripple
 from qadd.circuit import _check_wires
 from qadd.fanout import fanout_tree_gates
@@ -67,6 +69,15 @@ CALLS = {
         lambda v: verify_random(RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, trials=8, seed=v),
         2,
     ),
+    "tt_cost-t": (lambda v: tt_cost(v, 2), 2),
+    "tt_cost-f": (lambda v: tt_cost(16, v), 2),
+    "gcla_cost-m": (lambda v: gcla_cost(v, 2), 2),
+    "gcla_cost-f": (lambda v: gcla_cost(16, v), 2),
+    "fanout_adder_cost-n": (lambda v: fanout_adder_cost(v, 8, 2), 2),
+    "fanout_adder_cost-e": (lambda v: fanout_adder_cost(2, v, 2), 2),
+    "fanout_adder_cost-f": (lambda v: fanout_adder_cost(16, 8, v), 2),
+    "shor_dlog_estimate-n": (lambda v: shor_dlog_estimate(v), 4),
+    "shor_dlog_estimate-fanout-n": (lambda v: shor_dlog_estimate(v, "fanout", e=8, f=2), 4),
 }
 
 
@@ -89,6 +100,11 @@ def test_sizes_below_the_least_value_name_it():
         BlockParams(16, 1)
     with pytest.raises(ValueError, match=r"need an int trials >= 1, got 0$"):
         verify_random(RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, trials=0)
+    # e is checked as a size before it is compared with log*(n).
+    with pytest.raises(ValueError, match=r"need an int e >= 1, got 0$"):
+        fanout_adder_cost(16, 0, 2)
+    with pytest.raises(ValueError, match=r"need an int n >= 4, got 3$"):
+        shor_dlog_estimate(3)
 
 
 @pytest.mark.parametrize("bad", [2, *(b for b in BAD_SIZES if b is not True)], ids=repr)
