@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, _ccx, _check_size, _check_wires, _collector_paused, _cx, _x
+from .circuit import (
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x
+)
 from .ripple import _check_registers, _first_half, _labels, ripple_roles, ripple_wires
 
 
@@ -229,13 +231,14 @@ def synth_init(w: int) -> Circuit:
     they are not declared in the circuit's (restored) ancilla set.
     """
     _check_size("w", w, 2)
+    _check_wire_count(2 * w + 2)
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
     roles = _labels("B", b)
     roles.update(_labels("A", a))
     roles[g] = "G"
     roles[p] = "P"
-    return Circuit._adopt(2 * w + 2, (), roles, _init(b, a, g, p), p)
+    return Circuit._adopt(2 * w + 2, (), roles, _init(b, a, g, p))
 
 
 @_collector_paused
@@ -249,13 +252,14 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     if type(with_carry_in) is not bool:
         raise ValueError(f"with_carry_in must be a bool, got {with_carry_in!r}")
     offset = int(with_carry_in)  # the carry wire, when there is one, is wire 0
+    _check_wire_count(2 * w + offset)
     b = [offset + 2 * i for i in range(w)]
     a = [offset + 2 * i + 1 for i in range(w)]
     roles = {0: "C"} if with_carry_in else {}
     roles.update(_labels("B", b))
     roles.update(_labels("A", a))
     carry = 0 if with_carry_in else None
-    return Circuit._adopt(2 * w + offset, (), roles, _sum(b, a, carry), a[-1])
+    return Circuit._adopt(2 * w + offset, (), roles, _sum(b, a, carry))
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
@@ -280,13 +284,14 @@ def synth_carry(n: int, l: int) -> Circuit:
     m = n >> (l - 1)
     if m < 4:
         raise ValueError(f"need n/2**(l-1) >= 4, got {m}")
+    wire_count = _check_wire_count(2 * m - 1 + carry_tree_scratch_count(m, 1))
     p_wires = list(range(m - 1))
     g_wires = list(range(m - 1, 2 * m - 1))
     gates, scratch = _carry(g_wires, [None, *p_wires], 2 * m - 1)
     roles = _labels("P", p_wires, 1)
     roles.update(_labels("G", g_wires))
     roles.update(_labels("S", scratch))
-    return Circuit._adopt(2 * m - 1 + len(scratch), scratch, roles, gates, scratch[-1])
+    return Circuit._adopt(wire_count, scratch, roles, gates)
 
 
 def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
@@ -362,9 +367,10 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 
 
 def combined_wire_plan(params: BlockParams) -> dict[str, object]:
-    """Wire bookkeeping shared by synthesis and tests."""
+    """Wire bookkeeping shared by synthesis and tests, checked for the cap first."""
     n, m = params.n, params.blocks
     scratch_count = carry_tree_scratch_count(n, params.l)
+    wire_count = _check_wire_count(2 * n + 2 * m - 1 + scratch_count)
     g_slots = [2 * n + 1 + j for j in range(m - 1)]
     p_slots = [2 * n + m + j for j in range(m - 1)]
     scratch = [2 * n + 2 * m - 1 + i for i in range(scratch_count)]
@@ -373,7 +379,7 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
         "g_slots": g_slots,
         "p_slots": p_slots,
         "scratch": scratch,
-        "wire_count": 2 * n + 2 * m - 1 + scratch_count,
+        "wire_count": wire_count,
     }
 
 
@@ -393,4 +399,4 @@ def synth_combined(params: BlockParams) -> Circuit:
     roles.update(_labels("S", plan["scratch"]))
     ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
     gates = [gate for _, section in combined_step_gates(params) for gate in section]
-    return Circuit._adopt(plan["wire_count"], ancilla, roles, gates, plan["scratch"][-1])
+    return Circuit._adopt(plan["wire_count"], ancilla, roles, gates)

@@ -35,19 +35,21 @@ class GateKind(Enum):
 
 #: Largest wire count a ``Circuit`` accepts (2**22).  Statistics, layouts and
 #: simulation allocate per-wire state, so a hostile netlist or CLI flag is
-#: refused here instead of allocating it.
+#: refused here instead of allocating it; a synthesizer refuses before building.
 WIRE_CAP = 1 << 22
 
 #: Gate kinds that count toward the Toffoli-weighted depth.
 TOFFOLI_KINDS = frozenset((GateKind.TOFFOLI, GateKind.GEN_TOFFOLI))
 
-# (min controls, max controls or None, min targets, max targets or None)
-_ARITY = {
-    GateKind.NOT: (0, 0, 1, 1),
-    GateKind.CNOT: (1, 1, 1, 1),
-    GateKind.TOFFOLI: (2, 2, 1, 1),
-    GateKind.FANOUT: (1, 1, 1, None),
-    GateKind.GEN_TOFFOLI: (1, None, 1, 1),
+# Kind -> (cut, count), read by ``Gate`` and the netlist parser: the first
+# ``cut`` ids are the controls (-1 leaves one target), and ``count`` is the
+# exact id count, or None for the variadic kinds, which take at least two.
+_SHAPES = {
+    GateKind.NOT: (0, 1),
+    GateKind.CNOT: (1, 2),
+    GateKind.TOFFOLI: (2, 3),
+    GateKind.FANOUT: (1, None),
+    GateKind.GEN_TOFFOLI: (-1, None),
 }
 
 
@@ -60,10 +62,10 @@ class Gate(tuple):
     "length").  All operand wires of one gate must be pairwise distinct.
 
     ``Gate(...)``, the ``x``/``cx``/``ccx``/``fo``/``tg`` helpers and
-    unpickling validate the kind and the arity, and check the wires by the
-    one wire-id rule, ``_check_wires``.  A gate is a tuple, so readers can
-    unpack it as ``kind, controls, targets``, and it hashes and compares
-    like the plain tuple of its three fields.
+    unpickling validate the kind and the shape (``_SHAPES``), and check the
+    wires by the one wire-id rule, ``_check_wires``.  A gate is a tuple, so
+    readers can unpack it as ``kind, controls, targets``, and it hashes and
+    compares like the plain tuple of its three fields.
     """
 
     __slots__ = ()
@@ -72,14 +74,14 @@ class Gate(tuple):
     def __new__(cls, kind: GateKind, controls: Iterable[int], targets: Iterable[int]) -> "Gate":
         controls = tuple(controls)
         targets = tuple(targets)
-        arity = _ARITY.get(kind)
-        if arity is None:
+        shape = _SHAPES.get(kind)
+        if shape is None:
             raise ValueError(f"unknown gate kind {kind!r}")
-        lo_c, hi_c, lo_t, hi_t = arity
-        if len(controls) < lo_c or (hi_c is not None and len(controls) > hi_c):
-            raise ValueError(f"{kind.value}: bad control count {len(controls)}")
-        if len(targets) < lo_t or (hi_t is not None and len(targets) > hi_t):
-            raise ValueError(f"{kind.value}: bad target count {len(targets)}")
+        cut, count = shape
+        n = len(controls) + len(targets)
+        # once the count holds, n > cut >= -1, and cut % n is the control count
+        if (n < 2 if count is None else n != count) or len(controls) != cut % n:
+            raise ValueError(f"bad {kind.value}: {len(controls)} controls, {len(targets)} targets")
         _check_wires(controls, targets)
         return _new(cls, (kind, controls, targets))
 
@@ -105,13 +107,13 @@ class Gate(tuple):
 
 
 # The synthesizers build gates unchecked, through ``tuple.__new__``: a public
-# builder checks its request once, up front (``_check_wires``, ``_check_size``),
-# the package calls only the unchecked bodies, on wires it derived itself, and
-# each emits only gates of the right arity and hands them to ``Circuit._adopt``,
-# which checks once that the largest wire used is below the wire count.
-# ``parse_netlist`` builds and adopts its gates the same way, after checking
-# each gate line where it stands.  Everything else goes through ``Gate(...)``
-# and the per-gate checks of ``Circuit``.
+# builder checks its request once, up front (``_check_wires``, ``_check_size``,
+# and ``_check_wire_count`` before it builds anything), the package calls only
+# the unchecked bodies, on wires it derived itself below that wire count, and
+# each emits only gates of the right shape and hands them to ``Circuit._adopt``,
+# which checks nothing.  ``parse_netlist`` builds and adopts its gates the same
+# way, after checking each gate line where it stands.  Everything else goes
+# through ``Gate(...)`` and the per-gate checks of ``Circuit``.
 _new = tuple.__new__
 _NOT, _CNOT, _TOFFOLI, _FANOUT = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FANOUT
 
@@ -180,6 +182,15 @@ def _check_size(name: str, value: int, least: int) -> None:
         raise ValueError(f"need an int {name} >= {least}, got {value!r}")
 
 
+def _check_wire_count(wire_count: int) -> int:
+    """The one rule for a circuit's wire count, which it returns: an ``int``,
+    not a bool, from 1 to ``WIRE_CAP``.  ``Circuit(...)`` checks it, and each
+    synthesizer checks its count before it builds a wire list, a label or a gate."""
+    if type(wire_count) is not int or not 1 <= wire_count <= WIRE_CAP:
+        raise ValueError(f"wire count {wire_count!r} is not an int from 1 to the cap {WIRE_CAP}")
+    return wire_count
+
+
 def x(target: int) -> Gate:
     return Gate(GateKind.NOT, (), (target,))
 
@@ -234,17 +245,18 @@ class Circuit:
 
     Circuits are meant to be immutable once synthesis is finished;
     ``append``/``extend`` are the only mutators.  At most ``WIRE_CAP``
-    wires.  Role labels are unique, non-empty and free of whitespace.
+    wires.  ``role_map`` is always a dict, empty for a circuit without
+    roles; role labels are ``str``, unique, non-empty and free of whitespace.
 
     Each trust boundary checks once.  ``Circuit(...)``, ``append`` and
     ``extend`` take parts from any caller, so they check every gate against
     the wire count and every ancilla wire and role label.  The wire count
-    must be an ``int``; ancilla and role wires follow ``_check_wires``, the
-    one wire-id rule, so a duplicate ancilla id raises.  The synthesizers,
-    ``parse_netlist`` and ``inverse`` have checked their parts already, so
-    they go through the private ``_adopt`` instead, which checks only the
-    largest wire the builder used, and the synthesizers and the parser run
-    with the garbage collector paused.
+    follows ``_check_wire_count``; ancilla and role wires follow
+    ``_check_wires``, the one wire-id rule, so a duplicate ancilla id raises.
+    The synthesizers, ``parse_netlist`` and ``inverse`` have checked their
+    parts already, so they go through the private ``_adopt`` instead, which
+    checks nothing, and the synthesizers and the parser run with the garbage
+    collector paused.
     """
 
     __slots__ = ("wire_count", "ancilla", "role_map", "gates")
@@ -256,50 +268,33 @@ class Circuit:
         role_map: Mapping[int, str] | None = None,
         gates: Iterable[Gate] = (),
     ) -> None:
-        if type(wire_count) is not int or not 1 <= wire_count <= WIRE_CAP:
-            raise ValueError(f"wire count {wire_count!r} is not an int from 1 to the cap {WIRE_CAP}")
+        _check_wire_count(wire_count)
         self.wire_count = wire_count
         anc = _check_wires(ancilla)
         if max(anc, default=-1) >= wire_count:
             raise ValueError(f"ancilla wire {max(anc)} out of range for {wire_count} wires")
         self.ancilla = frozenset(anc)
-        if role_map is not None:
-            top = max(_check_wires(role_map), default=-1)
-            if top >= wire_count:
-                raise ValueError(f"role wire {top} out of range for {wire_count} wires")
-            roles = {w: str(label) for w, label in role_map.items()}
-            for label in roles.values():
-                # A label is one netlist token, so it can neither inject a
-                # line nor split into two tokens on export.
-                if label.split() != [label]:
-                    raise ValueError(f"role label {label!r} is empty or has whitespace")
-            if len(set(roles.values())) != len(roles):
-                raise ValueError("role labels must be unique")
-            self.role_map: dict[int, str] | None = roles
-        else:
-            self.role_map = None
+        top = max(_check_wires(role_map or ()), default=-1)
+        if top >= wire_count:
+            raise ValueError(f"role wire {top} out of range for {wire_count} wires")
+        roles = dict(role_map or ())
+        for label in roles.values():
+            # A label is one netlist token, so it can neither inject a line
+            # nor split into two tokens on export.
+            if type(label) is not str or label.split() != [label]:
+                raise ValueError(f"role label {label!r} is not a non-empty str without whitespace")
+        if len(set(roles.values())) != len(roles):
+            raise ValueError("role labels must be unique")
+        self.role_map: dict[int, str] = roles
         self.gates: list[Gate] = []
         self.extend(gates)
 
     @classmethod
     def _adopt(
-        cls,
-        wire_count: int,
-        ancilla: Iterable[int],
-        role_map: dict[int, str] | None,
-        gates: list[Gate],
-        top: int,
+        cls, wire_count: int, ancilla: Iterable[int], role_map: dict[int, str], gates: list[Gate]
     ) -> "Circuit":
-        """A circuit made of parts its builder has already checked.
-
-        ``top`` is the largest wire the builder used; it is checked once
-        against ``wire_count``, and ``wire_count`` against ``WIRE_CAP``.
-        The parts are stored as given, so the caller hands over fresh ones.
-        """
-        if not 0 <= top < wire_count <= WIRE_CAP:
-            raise ValueError(
-                f"wire {top} out of range for {wire_count} wires (cap {WIRE_CAP})"
-            )
+        """Parts a builder has checked, its wire count by ``_check_wire_count``,
+        stored as given and checked no further: the caller hands over fresh ones."""
         self = object.__new__(cls)
         self.wire_count = wire_count
         self.ancilla = frozenset(ancilla)
@@ -324,18 +319,13 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """Reversed gate list; every supported gate is an involution."""
-        roles = None if self.role_map is None else dict(self.role_map)
-        return Circuit._adopt(
-            self.wire_count, self.ancilla, roles, self.gates[::-1], self.wire_count - 1
-        )
+        return Circuit._adopt(self.wire_count, self.ancilla, dict(self.role_map), self.gates[::-1])
 
     def stats(self) -> CircuitStats:
         return compute_stats(self)
 
     def wires_by_role(self) -> dict[str, int]:
         """Invert the role map (label -> wire)."""
-        if self.role_map is None:
-            return {}
         return {label: w for w, label in self.role_map.items()}
 
     def __len__(self) -> int:
@@ -347,7 +337,7 @@ class Circuit:
         return (
             self.wire_count == other.wire_count
             and self.ancilla == other.ancilla
-            and (self.role_map or {}) == (other.role_map or {})
+            and self.role_map == other.role_map
             and self.gates == other.gates
         )
 

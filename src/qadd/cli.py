@@ -167,9 +167,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.netlist is not None and args.kind is not None:
-        raise UsageError("pass either a netlist file or --kind, not both")
     if args.netlist is not None:
+        for name in ("kind", "n", "d", "t", "f"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"pass either a netlist file or --{name}, not both")
         with open(args.netlist) as handle:
             circuit: Circuit = parse_netlist(handle.read())
         ripple_n = None

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, Gate, _check_size, _check_wires, _collector_paused, _cx, _fo
+from .circuit import (
+    Circuit, Gate, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _fo
+)
 
 
 def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
@@ -54,5 +56,5 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     """
     targets = tuple(targets)
     gates = fanout_tree_gates(source, targets, f)
-    top = max(source, *targets)
-    return Circuit._adopt(top + 1, (), None, gates, top)
+    # built first: the gates are linear in the targets the caller passed in
+    return Circuit._adopt(_check_wire_count(max(source, *targets) + 1), (), {}, gates)

@@ -18,7 +18,7 @@ first; ``ancilla`` and ``# role`` lines follow it and precede the gates.
 A role line is checked where it stands: its wire must be in range, and
 its wire and its label must not repeat.  A label is one token with no
 whitespace, the rule ``Circuit`` enforces.  A gate line is validated in
-one pass on that line: ASCII-digit ids, the opcode's arity, pairwise
+one pass on that line: ASCII-digit ids, the opcode's shape, pairwise
 distinct operands and every id below the wire count.  Each check is made
 once, there: the gates are built unchecked and the parts are adopted by
 ``Circuit`` as they are, with no second pass over the gates, and the parse
@@ -36,27 +36,20 @@ from itertools import islice
 from .circuit import (
     _CNOT,
     _NOT,
+    _SHAPES,
     _TOFFOLI,
     WIRE_CAP,
     Circuit,
     Gate,
-    GateKind,
     _collector_paused,
     _new,
 )
 
 MAGIC = "qadd 1"
 
-# Opcode -> (kind, cut, arity): a gate line's ids split into controls
-# ``ids[:cut]`` and targets ``ids[cut:]``; ``arity`` is the exact id count,
-# or None for the variadic kinds, which take at least two.
-_SPECS = {
-    "x": (GateKind.NOT, 0, 1),
-    "cx": (GateKind.CNOT, 1, 2),
-    "ccx": (GateKind.TOFFOLI, 2, 3),
-    "fo": (GateKind.FANOUT, 1, None),
-    "tg": (GateKind.GEN_TOFFOLI, -1, None),
-}
+# Opcode -> (kind, cut, count), from the one gate-shape table: a gate line's
+# ids split into controls ``ids[:cut]`` and targets ``ids[cut:]``.
+_SPECS = {kind.value: (kind, *shape) for kind, shape in _SHAPES.items()}
 
 
 class NetlistError(ValueError):
@@ -73,9 +66,8 @@ def export_netlist(circuit: Circuit) -> str:
     lines = [MAGIC, f"qubits {circuit.wire_count}"]
     anc = " ".join(str(w) for w in sorted(circuit.ancilla))
     lines.append(f"ancilla {anc}".rstrip())
-    if circuit.role_map:
-        for w in sorted(circuit.role_map):
-            lines.append(f"# role {w} {circuit.role_map[w]}")
+    for w in sorted(circuit.role_map):
+        lines.append(f"# role {w} {circuit.role_map[w]}")
     append = lines.append
     join = " ".join
     for kind, controls, targets in circuit.gates:
@@ -160,13 +152,13 @@ def parse_netlist(text: str) -> Circuit:
             except ValueError:  # a bad token, or one longer than int() reads
                 _int_tokens(tokens, lineno, raw, 1)  # raises at that token
                 raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
-            kind, cut, arity = spec
+            kind, cut, count = spec
             n = len(ids)
-            if arity is None:
+            if count is None:
                 if n < 2:
                     raise NetlistError(lineno, 1, f"{head} takes at least 2 wire ids, got {n}")
-            elif n != arity:
-                raise NetlistError(lineno, 1, f"{head} takes {arity} wire ids, got {n}")
+            elif n != count:
+                raise NetlistError(lineno, 1, f"{head} takes {count} wire ids, got {n}")
             if len(set(ids)) != n:
                 raise NetlistError(lineno, 1, f"{head}: duplicate operand wire in {ids}")
             if max(ids) >= wire_count:
@@ -231,6 +223,6 @@ def parse_netlist(text: str) -> Circuit:
     if wire_count is None:
         raise NetlistError(len(lines), 1, "missing qubits line")
     # Every check the public Circuit constructor makes has been made above,
-    # line by line, against this wire count, so the parts are adopted as they
-    # are: the largest wire any line may use is wire_count - 1.
-    return Circuit._adopt(wire_count, ancilla, roles or None, gates, wire_count - 1)
+    # line by line: the qubits line against the cap, and every other line
+    # against this wire count.  So the parts are adopted as they are.
+    return Circuit._adopt(wire_count, ancilla, roles, gates)

@@ -10,7 +10,9 @@ spans more than 3 adjacent positions.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Gate, _ccx, _check_size, _check_wires, _collector_paused, _cx
+from .circuit import (
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx
+)
 
 
 def maj_fragment(c: int, b: int, a: int) -> list[Gate]:
@@ -114,8 +116,9 @@ def ripple_roles(n: int) -> dict[int, str]:
 def synth_ripple(n: int) -> Circuit:
     """Ripple adder over 2n+1 wires (no ancilla)."""
     _check_size("n", n, 1)
+    _check_wire_count(2 * n + 1)
     b, a, z = ripple_wires(n)
-    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), _ripple_add(b, a, z), z)
+    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), _ripple_add(b, a, z))
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:

@@ -13,6 +13,7 @@ from qadd import (
     BlockParams,
     Circuit,
     NetlistError,
+    combined_step_gates,
     cx,
     export_netlist,
     parse_netlist,
@@ -24,6 +25,8 @@ from qadd import (
     synth_ripple,
     synth_sum,
 )
+from qadd.blocked import combined_wire_plan
+from qadd.circuit import _check_wire_count
 from qadd.ripple import ripple_wires
 from test_gate import _valid_depths
 from test_properties import circuits
@@ -86,17 +89,15 @@ def test_inverse_matches_the_public_constructor(circuit):
     _assert_public_rebuild(inv)
 
 
-@pytest.mark.parametrize(
-    "wire_count,top",
-    [(3, 3), (3, 7), (1, 1), (0, -1), (3, -1), (WIRE_CAP + 1, 0), (WIRE_CAP + 1, WIRE_CAP)],
-)
-def test_adopt_checks_top_and_the_wire_cap(wire_count, top):
-    with pytest.raises(ValueError):
-        Circuit._adopt(wire_count, (), None, [cx(0, 1)], top)
+@pytest.mark.parametrize("wire_count", [0, WIRE_CAP + 1])
+def test_wire_count_rule_checks_the_wire_cap(wire_count):
+    with pytest.raises(ValueError, match=f"cap {WIRE_CAP}"):
+        _check_wire_count(wire_count)
 
 
 def test_adopt_accepts_the_largest_in_range_wire():
-    c = Circuit._adopt(WIRE_CAP, (), None, [cx(0, WIRE_CAP - 1)], WIRE_CAP - 1)
+    _check_wire_count(WIRE_CAP)
+    c = Circuit._adopt(WIRE_CAP, (), {}, [cx(0, WIRE_CAP - 1)])
     assert c == Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)])
 
 
@@ -116,6 +117,52 @@ def test_adopt_accepts_the_largest_in_range_wire():
 def test_out_of_range_synthesizer_requests_still_raise(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _building(*args):
+    raise AssertionError("built before the wire count was checked")
+
+
+def test_over_cap_synthesis_is_refused_before_building(monkeypatch):
+    # Every body that builds a wire list, a label or a gate raises, so each
+    # request below is refused by its wire count alone, without allocating.
+    step_gates = combined_step_gates  # the original: synth_combined calls the patched one
+    for name in (
+        "ripple.ripple_wires",
+        "ripple.ripple_roles",
+        "ripple._ripple_add",
+        "blocked.ripple_wires",
+        "blocked.ripple_roles",
+        "blocked._init",
+        "blocked._sum",
+        "blocked._carry",
+        "blocked.combined_step_gates",
+    ):
+        monkeypatch.setattr(f"qadd.{name}", _building)
+    over_cap = [
+        lambda: synth_ripple(2**21),
+        lambda: synth_ripple(10**18),
+        lambda: synth_init(2**21),
+        lambda: synth_init(10**18),
+        lambda: synth_sum(2**21),
+        lambda: synth_sum(2**21 + 1, with_carry_in=False),
+        lambda: synth_sum(10**18),
+        lambda: synth_carry(2**21, 1),
+        lambda: synth_carry(2**60, 1),
+        lambda: synth_combined(BlockParams(2**21, 2)),
+        lambda: synth_combined(BlockParams(2**60, 2)),
+        lambda: combined_wire_plan(BlockParams(2**21, 2)),
+        lambda: step_gates(BlockParams(2**60, 2)),
+        lambda: synth_fanout_tree(0, [WIRE_CAP], 2),
+        lambda: synth_fanout_tree(10**18, [0], 2),
+    ]
+    for call in over_cap:
+        with pytest.raises(ValueError, match=f"cap {WIRE_CAP}"):
+            call()
+    # One size below the cap passes the check and goes on to build.
+    for call in (lambda: synth_ripple(2**21 - 1), lambda: synth_init(2**21 - 1)):
+        with pytest.raises(AssertionError, match="built before"):
+            call()
 
 
 BAD_NETLIST = "qadd 1\nqubits 2\ncx 0 5\n"

@@ -10,6 +10,8 @@ from qadd import (
     cx,
     fo,
     max_window_span,
+    parse_netlist,
+    synth_fanout_tree,
     synth_ripple,
     tg,
     x,
@@ -72,6 +74,21 @@ def test_role_map_validation():
         Circuit(2, role_map={0: "B0", 1: "B0"})  # duplicate label
     with pytest.raises(ValueError):
         Circuit(2, role_map={5: "B0"})
+    # labels are str, never coerced: these were stored as "None", "b'B0'", "5"
+    for label in (None, b"B0", 5):
+        with pytest.raises(ValueError, match="str"):
+            Circuit(2, role_map={0: label})
+
+
+def test_role_map_is_always_a_dict():
+    plain = Circuit(2, gates=[cx(0, 1)])
+    roleless = [plain, Circuit(2, role_map=None), Circuit(2, role_map={}), plain.inverse()]
+    roleless.append(synth_fanout_tree(0, [1, 2, 3], 2))
+    roleless.append(parse_netlist("qadd 1\nqubits 2\ncx 0 1\n"))
+    for c in roleless:
+        assert type(c.role_map) is dict and c.role_map == {}
+        assert c.wires_by_role() == {}
+    assert Circuit(2, role_map=None) == Circuit(2, role_map={})
 
 
 def test_inverse_reverses_gates():

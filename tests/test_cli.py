@@ -112,6 +112,10 @@ def test_stats_rejects_both_file_and_kind(tmp_path, capsys):
     run_cli(capsys, "synth", "--kind", "ripple", "--n", "3", "-o", str(path))
     code, _, err = run_cli(capsys, "stats", str(path), "--kind", "ripple", "--n", "3")
     assert code == 2 and "not both" in err
+    # the other kind flags are refused too, not ignored
+    for flags in (["--n", "99", "--d", "7"], ["--n", "3"], ["--d", "2"], ["--t", "4"], ["--f", "2"]):
+        code, _, err = run_cli(capsys, "stats", str(path), *flags)
+        assert code == 2 and "not both" in err and flags[0] in err
 
 
 def test_estimate_shor_ripple(capsys):

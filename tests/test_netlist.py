@@ -97,6 +97,7 @@ def test_golden_combined_n8_d2():
         ("sum_w3", lambda: synth_sum(3)),
         ("sum_w3_nocarry", lambda: synth_sum(3, with_carry_in=False)),
         ("carry_n8_l1", lambda: synth_carry(8, 1)),
+        ("fanout_t7_f2", lambda: synth_fanout_tree(0, range(1, 8), 2)),
     ],
 )
 def test_golden_block_circuits(name, build):
@@ -105,6 +106,26 @@ def test_golden_block_circuits(name, build):
     circuit = build()
     assert export_netlist(circuit) == golden
     assert parse_netlist(golden) == circuit
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_and_parser_read_one_shape_table(kind):
+    # For every id count, the ids split as controls then targets the way
+    # ``Gate`` accepts exactly when the parser accepts the gate line.
+    for n in range(5):
+        ids = tuple(range(n))
+        accepted = []
+        for cut in range(n + 1):
+            try:
+                accepted.append(Gate(kind, ids[:cut], ids[cut:]))
+            except ValueError:
+                pass
+        try:
+            parsed = parse_netlist(f"qadd 1\nqubits 5\n{kind.value} {' '.join(map(str, ids))}\n")
+        except NetlistError:
+            assert accepted == []
+        else:
+            assert parsed.gates == accepted
 
 
 def _expect_error(text, lineno=None, fragment=""):
