@@ -12,7 +12,7 @@ import json
 import sys
 
 from .blocked import BlockParams, synth_combined
-from .circuit import WIRE_CAP, Circuit, compute_stats
+from .circuit import WIRE_CAP, Circuit, _check_size, compute_stats
 from .estimator import fanout_adder_cost, shor_dlog_estimate
 from .fanout import synth_fanout_tree
 from .netlist import NetlistError, export_netlist, parse_netlist
@@ -29,6 +29,12 @@ from .sim import (
 #: Default policy: exhaustive when at most this many free wires, else trials.
 EXHAUSTIVE_DEFAULT_LIMIT = 20
 
+#: The flags each ``--kind`` requires; it refuses every other kind flag.
+_KIND_FLAGS = {"ripple": ("n",), "combined": ("n", "d"), "fanout-tree": ("t", "f")}
+
+#: Every kind flag, in the order the refused ones are reported.
+_ALL_KIND_FLAGS = tuple(dict.fromkeys(f for flags in _KIND_FLAGS.values() for f in flags))
+
 
 class UsageError(Exception):
     pass
@@ -39,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kind_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kind", choices=["ripple", "combined", "fanout-tree"])
+        p.add_argument("--kind", choices=list(_KIND_FLAGS))
         p.add_argument("--n", type=int, help="operand width")
         p.add_argument("--d", type=int, help="depth parameter of the combined adder")
         p.add_argument("--t", type=int, help="fan-out target count")
@@ -76,30 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args: argparse.Namespace, names: list[str], forbid: list[str]) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--kind {args.kind} requires --{name}")
-    for name in forbid:
-        if getattr(args, name) is not None:
-            raise UsageError(f"--kind {args.kind} does not take --{name}")
-
-
 def _data_wires(args: argparse.Namespace) -> int:
-    """Check the kind flags and return the requested circuit's data-wire
-    count (2n+1 for the adders, t+1 for a fan-out tree), rejecting one above
-    ``WIRE_CAP`` before anything is built."""
+    """Check the kind flags against ``_KIND_FLAGS`` and return the requested
+    circuit's data-wire count (2n+1 for the adders, t+1 for a fan-out tree),
+    rejecting one above ``WIRE_CAP`` before anything is built."""
     if args.kind is None:
         raise UsageError("--kind is required")
-    if args.kind == "ripple":
-        _require(args, ["n"], ["d", "t", "f"])
-        wires = 2 * args.n + 1
-    elif args.kind == "combined":
-        _require(args, ["n", "d"], ["t", "f"])
-        wires = 2 * args.n + 1
-    else:
-        _require(args, ["t", "f"], ["n", "d"])
-        wires = args.t + 1
+    required = _KIND_FLAGS[args.kind]
+    for name in required:
+        if getattr(args, name) is None:
+            raise UsageError(f"--kind {args.kind} requires --{name}")
+    for name in _ALL_KIND_FLAGS:
+        if name not in required and getattr(args, name) is not None:
+            raise UsageError(f"--kind {args.kind} does not take --{name}")
+    wires = args.t + 1 if args.kind == "fanout-tree" else 2 * args.n + 1
     if wires > WIRE_CAP:
         raise ValueError(f"--kind {args.kind} needs {wires} wires, above the cap of {WIRE_CAP}")
     return wires
@@ -137,6 +133,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     free = _data_wires(args)
     exhaustive = args.exhaustive or free <= EXHAUSTIVE_DEFAULT_LIMIT
     if exhaustive:
+        # --trials is unused here but follows the same rule as in random mode.
+        _check_size("trials", args.trials, 1)
         _check_exhaustive_request(free)
     else:
         _check_random_request(args.trials, free, args.seed)
@@ -168,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.netlist is not None:
-        for name in ("kind", "n", "d", "t", "f"):
+        for name in ("kind", *_ALL_KIND_FLAGS):
             if getattr(args, name) is not None:
                 raise UsageError(f"pass either a netlist file or --{name}, not both")
         with open(args.netlist) as handle:

@@ -27,19 +27,35 @@ def _pair(packed: Packed) -> tuple[PerCase, Packed]:
 
 
 def _roles(by_role: dict[str, int], prefix: str, start: int = 0) -> list[int]:
-    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to the first gap."""
+    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to
+    the first gap.  A label of the register past the gap (``prefix``, then
+    decimal digits, at an index >= ``start``) raises ``KeyError`` naming the
+    missing label, rather than being passed through unchanged."""
     out = []
     i = start
     while f"{prefix}{i}" in by_role:
         out.append(by_role[f"{prefix}{i}"])
         i += 1
+    for label in by_role:
+        digits = label[len(prefix) :]
+        if label.startswith(prefix) and digits.isascii() and digits.isdigit() and int(digits) > i:
+            raise KeyError(f"{prefix}{i}")
     return out
+
+
+def _operands(by_role: dict[str, int]) -> tuple[list[int], list[int]]:
+    """The B and A registers of an adder or a block, which must be equally
+    wide: ``KeyError`` names the first label the narrower one lacks."""
+    b, a = _roles(by_role, "B"), _roles(by_role, "A")
+    if len(b) != len(a):
+        raise KeyError(f"A{len(a)}" if len(a) < len(b) else f"B{len(b)}")
+    return b, a
 
 
 def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """In-place addition: B <- bits of a+b, Z <- z ^ s_n, A unchanged."""
     by_role = circuit.wires_by_role()
-    b, a, z = _roles(by_role, "B"), _roles(by_role, "A"), by_role["Z"]
+    (b, a), z = _operands(by_role), by_role["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -58,7 +74,7 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Adder steps 1-3: b_i <- b_i^a_i, a_i <- a_i^c_i (i>=1), Z <- z ^ c_n."""
     by_role = circuit.wires_by_role()
-    b, a, z = _roles(by_role, "B"), _roles(by_role, "A"), by_role["Z"]
+    (b, a), z = _operands(by_role), by_role["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -79,7 +95,7 @@ def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block p/g map: B_i <- a_i^b_i, A_i <- a_i^c_i^prefix_i, G <- c_w, P <- prefix_w."""
     by_role = circuit.wires_by_role()
-    b, a = _roles(by_role, "B"), _roles(by_role, "A")
+    b, a = _operands(by_role)
     g, p = by_role["G"], by_role["P"]
     w = len(b)
 
@@ -105,7 +121,7 @@ def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block sum: B_j <- a_j ^ b_j ^ d_j with d_0 the carry-in wire (or 0)."""
     by_role = circuit.wires_by_role()
-    b, a = _roles(by_role, "B"), _roles(by_role, "A")
+    b, a = _operands(by_role)
     carry_wire = by_role.get("C")
     w = len(b)
 

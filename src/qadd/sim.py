@@ -96,7 +96,9 @@ def run(circuit: Circuit, state: Sequence[int]) -> BitState:
 
 
 def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[int]:
-    """Run a circuit on ``n_cases`` packed cases (one int column per wire)."""
+    """Run a circuit on ``n_cases`` packed cases (one int column per wire);
+    ``n_cases`` follows the size rule, an ``int`` of at least 1."""
+    _check_size("n_cases", n_cases, 1)
     if len(columns) != circuit.wire_count:
         raise ValueError("column count must equal wire count")
     mask = (1 << n_cases) - 1
@@ -341,22 +343,26 @@ def _packed_from_per_case(circuit: Circuit, oracle: Oracle) -> PackedOracle:
     return packed
 
 
+def _one_oracle(
+    circuit: Circuit, oracle: Oracle | None, packed_oracle: PackedOracle | None
+) -> PackedOracle:
+    """The packed oracle of a request that passes exactly one of the two."""
+    if (oracle is None) == (packed_oracle is None):
+        raise ValueError("pass exactly one of oracle= and packed_oracle=")
+    return packed_oracle if oracle is None else _packed_from_per_case(circuit, oracle)
+
+
 def _check_columns(
     circuit: Circuit,
     in_cols: list[int],
     n_cases: int,
-    oracle: Oracle | None,
-    packed_oracle: PackedOracle | None,
+    packed_oracle: PackedOracle,
     seed: int | None,
 ) -> VerifyReport:
     """Run ``circuit`` on packed input columns and diff its data wires with
     the oracle's.  The ancilla rule lives here only: every ancilla output
     must be 0, the oracle's ancilla columns are never read, and a failure
     records 0 as each ancilla's expected bit."""
-    if (oracle is None) == (packed_oracle is None):
-        raise ValueError("pass exactly one of oracle= and packed_oracle=")
-    if packed_oracle is None:
-        packed_oracle = _packed_from_per_case(circuit, oracle)
     wc = circuit.wire_count
     out_cols = run_packed(circuit, in_cols, n_cases)
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
@@ -434,7 +440,10 @@ def verify_exhaustive(
 
     Free wires default to all non-ancilla wires; ancilla wires are fixed to
     0 and checked to end at 0.  Non-free data wires are also fixed to 0.
-    Capped at ``EXHAUSTIVE_WIRE_CAP`` free wires.
+    Capped at ``EXHAUSTIVE_WIRE_CAP`` free wires.  Pass exactly one of
+    ``oracle=`` and ``packed_oracle=``.  The free wires, the cap and the
+    oracle pair are all checked, in that order, before any input column is
+    built.
 
     ``packed_oracle=`` is the fast path: one call computes every case's
     expected columns.  A per-case ``oracle=`` costs one Python call and one
@@ -444,8 +453,9 @@ def verify_exhaustive(
     """
     free = _resolve_free(circuit, free_wires)
     _check_exhaustive_request(len(free))
+    packed_oracle = _one_oracle(circuit, oracle, packed_oracle)
     cols = _enumeration_columns(circuit, free)
-    return _check_columns(circuit, cols, 1 << len(free), oracle, packed_oracle, None)
+    return _check_columns(circuit, cols, 1 << len(free), packed_oracle, None)
 
 
 def verify_random(
@@ -467,7 +477,10 @@ def verify_random(
     at ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.  At
     the cap, generating the inputs took 6.2-7.3 s and peaked at 158-189 MB
     RSS for 128 MiB of columns (7, 64 and 2049 free wires, CPython 3.11 on
-    one core of a 2-vCPU Xeon).
+    one core of a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
+    ``packed_oracle=``.  The free wires, ``trials``, ``seed``, the cap and
+    the oracle pair are all checked, in that order, before any input is
+    generated.
 
     ``packed_oracle=`` is the fast path: one call computes every case's
     expected columns.  A per-case ``oracle=`` costs one Python call and one
@@ -477,5 +490,6 @@ def verify_random(
     """
     free = _resolve_free(circuit, free_wires)
     _check_random_request(trials, len(free), seed)
+    packed_oracle = _one_oracle(circuit, oracle, packed_oracle)
     cols = _random_columns(circuit, free, trials, seed)
-    return _check_columns(circuit, cols, trials, oracle, packed_oracle, seed)
+    return _check_columns(circuit, cols, trials, packed_oracle, seed)

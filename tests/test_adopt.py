@@ -38,7 +38,7 @@ def _assert_public_rebuild(*adopted):
         assert rebuilt == c
         assert type(c.wire_count) is int and type(c.ancilla) is frozenset
         assert type(c.gates) is list
-        assert c.role_map is None or type(c.role_map) is dict
+        assert type(c.role_map) is dict
 
 
 def test_adopted_ripple_rebuilds_publicly():
@@ -85,7 +85,7 @@ def test_inverse_matches_the_public_constructor(circuit):
         circuit.wire_count, circuit.ancilla, circuit.role_map, reversed(circuit.gates)
     )
     assert inv.gates is not circuit.gates
-    assert inv.role_map is None or inv.role_map is not circuit.role_map
+    assert inv.role_map is not circuit.role_map
     _assert_public_rebuild(inv)
 
 

@@ -189,6 +189,8 @@ def test_oversized_kind_is_rejected_before_synthesis(capsys, monkeypatch, comman
         ("--kind", "fanout-tree", "--t", "4096", "--f", "4", "--trials", str(10**6)),
         ("--kind", "ripple", "--n", "16", "--trials", "0"),
         ("--kind", "ripple", "--n", "12", "--exhaustive"),  # 25 free wires
+        ("--kind", "ripple", "--n", "3", "--trials", "0"),  # exhaustive by default
+        ("--kind", "ripple", "--n", "3", "--trials", "-7", "--exhaustive"),
     ],
 )
 def test_verify_checks_input_size_before_synthesis(capsys, monkeypatch, flags):
@@ -265,3 +267,36 @@ def test_estimate_rejects_a_flag_the_adder_does_not_read(capsys, flags, unread):
     code, out, err = run_cli(capsys, "estimate", "--target", "shor-dlog", "--n", "16", *flags, "--json")
     assert code == 2 and not out
     assert f"does not take {unread}" in err
+
+
+# A valid value for each kind flag a kind requires.
+KIND_FLAGS = {
+    "ripple": {"n": "3"},
+    "combined": {"n": "8", "d": "2"},
+    "fanout-tree": {"t": "5", "f": "2"},
+}
+
+
+def _kind_argv(kind, flags):
+    return ["--kind", kind, *(arg for name, value in flags.items() for arg in (f"--{name}", value))]
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "stats"])
+@pytest.mark.parametrize(
+    "kind,flag,required",
+    [(kind, flag, flag in flags) for kind, flags in KIND_FLAGS.items() for flag in "ndtf"],
+)
+def test_each_kind_requires_its_flags_and_refuses_the_others(
+    capsys, monkeypatch, command, kind, flag, required
+):
+    _forbid_synthesis(monkeypatch)
+    flags = dict(KIND_FLAGS[kind])
+    if required:
+        del flags[flag]
+        message = f"error: --kind {kind} requires --{flag}\n"
+    else:
+        flags[flag] = "2"
+        message = f"error: --kind {kind} does not take --{flag}\n"
+    code, out, err = run_cli(capsys, command, *_kind_argv(kind, flags))
+    assert code == 2 and not out
+    assert err.startswith(message)

@@ -9,6 +9,7 @@ import pytest
 
 from qadd import BlockParams, Circuit, splitmix64, synth_carry, synth_combined, synth_init, synth_ripple, synth_sum
 from qadd.oracles import adder_oracle, carry_fold_oracle, init_oracle, sum_oracle
+from qadd.oracles import first_half_oracle
 from qadd.sim import _enumeration_columns
 
 
@@ -187,3 +188,31 @@ def test_carry_fold_oracle_needs_every_propagate_label():
     roles = {w: label for w, label in good.role_map.items() if label != "P2"}
     with pytest.raises(KeyError, match="P2"):
         carry_fold_oracle(Circuit(good.wire_count, good.ancilla, roles, good.gates))
+
+
+# The labels each factory reads besides the B and A registers.
+OPERAND_FACTORIES = {
+    "adder": (adder_oracle, ["Z"]),
+    "first-half": (first_half_oracle, ["Z"]),
+    "init": (init_oracle, ["G", "P"]),
+    "sum": (sum_oracle, ["C"]),
+}
+
+
+@pytest.mark.parametrize(
+    "registers,missing",
+    [
+        (["B0", "B1", "A0", "A1", "B3", "A3"], "B2"),  # a gap below later labels
+        (["B0", "B1", "A0"], "A1"),  # A narrower than B
+        (["B0", "A0", "A1"], "B1"),  # B narrower than A
+    ],
+    ids=["gap", "short-a", "short-b"],
+)
+@pytest.mark.parametrize("factory,extra", OPERAND_FACTORIES.values(), ids=OPERAND_FACTORIES.keys())
+def test_operand_oracles_name_the_first_missing_label(factory, extra, registers, missing):
+    # The gap used to give a 2-bit adder oracle that passed B3 through, and
+    # the narrow A register an IndexError once the packed oracle was called.
+    labels = registers + extra
+    circuit = Circuit(len(labels), role_map=dict(enumerate(labels)))
+    with pytest.raises(KeyError, match=missing):
+        factory(circuit)

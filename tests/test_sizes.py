@@ -40,6 +40,7 @@ from qadd import blocked, fanout, ripple
 from qadd.circuit import _check_wires
 from qadd.fanout import fanout_tree_gates
 from qadd.oracles import adder_oracle
+from qadd.sim import run_packed
 
 BAD_SIZES = [True, 2.0, 2.5, "2", None]
 
@@ -69,6 +70,7 @@ CALLS = {
         lambda v: verify_random(RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, trials=8, seed=v),
         2,
     ),
+    "run_packed-n_cases": (lambda v: run_packed(RIPPLE_2, [0] * RIPPLE_2.wire_count, v), 2),
     "tt_cost-t": (lambda v: tt_cost(v, 2), 2),
     "tt_cost-f": (lambda v: tt_cost(16, v), 2),
     "gcla_cost-m": (lambda v: gcla_cost(v, 2), 2),
@@ -105,6 +107,13 @@ def test_sizes_below_the_least_value_name_it():
         fanout_adder_cost(16, 0, 2)
     with pytest.raises(ValueError, match=r"need an int n >= 4, got 3$"):
         shor_dlog_estimate(3)
+
+
+@pytest.mark.parametrize("n_cases", [0, -1])
+def test_run_packed_needs_at_least_one_case(n_cases):
+    # -1 used to fail with a bare "negative shift count".
+    with pytest.raises(ValueError, match=rf"need an int n_cases >= 1, got {n_cases}$"):
+        run_packed(RIPPLE_2, [0] * RIPPLE_2.wire_count, n_cases)
 
 
 @pytest.mark.parametrize("bad", [2, *(b for b in BAD_SIZES if b is not True)], ids=repr)
