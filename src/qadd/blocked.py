@@ -160,9 +160,11 @@ def carry_gates(
 
     Structure: an upward combine (with higher-level propagate products on
     fresh scratch wires), a downward carry distribution, then an in-pass
-    uncompute of the scratch products.  Scratch wires are allocated
-    consecutively from ``first_scratch``; the count is
-    sum over t=1..log2(m)-1 of (m/2**t - 1) and all of them return to 0.
+    uncompute of the scratch products.  The scratch wires are
+    ``first_scratch``, ``first_scratch + 1``, ... in the order the level
+    products are computed, ``carry_tree_scratch_count(m, 1)`` of them, and
+    all of them return to 0.  Returns the gates and that scratch list, the
+    one that was checked.
     """
     m = len(g_wires)
     if m < 4 or m & (m - 1):
@@ -170,32 +172,29 @@ def carry_gates(
     if len(p_wires) != m:
         raise ValueError("need m propagate slots (index 0 unused)")
     # a first_scratch that is not an int cannot offset a range: check it alone
-    scratch = (first_scratch,)
+    scratch = [first_scratch]
     if type(first_scratch) is int:
-        scratch = range(first_scratch, first_scratch + carry_tree_scratch_count(m, 1))
+        scratch = list(range(first_scratch, first_scratch + carry_tree_scratch_count(m, 1)))
     _check_wires(g_wires, p_wires[1:], scratch)
-    return _carry(g_wires, p_wires, first_scratch)
+    return _carry(g_wires, p_wires, scratch), scratch
 
 
-def _carry(
-    g_wires: list[int], p_wires: list[int | None], first_scratch: int
-) -> tuple[list[Gate], list[int]]:
+def _carry(g_wires: list[int], p_wires: list[int | None], scratch: list[int]) -> list[Gate]:
     m = len(g_wires)
     levels = m.bit_length() - 1
     p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
-    scratch: list[int] = []
     gates: list[Gate] = []
     compute_order: list[Gate] = []
 
-    # upward combine: level t merges pairs of level t-1 intervals
+    # upward combine: level t merges pairs of level t-1 intervals; the k-th
+    # level product computed goes to scratch[k]
     for t in range(1, levels + 1):
         blocks_t = m >> t
         prev = p_lvl[t - 1]
         if t < levels:
             cur: dict[int, int] = {}
             for i in range(1, blocks_t):
-                w = first_scratch + len(scratch)
-                scratch.append(w)
+                w = scratch[len(compute_order)]
                 gate = _ccx(prev[2 * i], prev[2 * i + 1], w)
                 gates.append(gate)
                 compute_order.append(gate)
@@ -220,7 +219,7 @@ def _carry(
 
     # uncompute the scratch propagate products
     gates += reversed(compute_order)
-    return gates, scratch
+    return gates
 
 
 @_collector_paused
@@ -231,14 +230,14 @@ def synth_init(w: int) -> Circuit:
     they are not declared in the circuit's (restored) ancilla set.
     """
     _check_size("w", w, 2)
-    _check_wire_count(2 * w + 2)
+    wire_count = _check_wire_count(2 * w + 2)
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
     roles = _labels("B", b)
     roles.update(_labels("A", a))
     roles[g] = "G"
     roles[p] = "P"
-    return Circuit._adopt(2 * w + 2, (), roles, _init(b, a, g, p))
+    return Circuit._adopt(wire_count, (), roles, _init(b, a, g, p))
 
 
 @_collector_paused
@@ -252,18 +251,25 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     if type(with_carry_in) is not bool:
         raise ValueError(f"with_carry_in must be a bool, got {with_carry_in!r}")
     offset = int(with_carry_in)  # the carry wire, when there is one, is wire 0
-    _check_wire_count(2 * w + offset)
+    wire_count = _check_wire_count(2 * w + offset)
     b = [offset + 2 * i for i in range(w)]
     a = [offset + 2 * i + 1 for i in range(w)]
     roles = {0: "C"} if with_carry_in else {}
     roles.update(_labels("B", b))
     roles.update(_labels("A", a))
     carry = 0 if with_carry_in else None
-    return Circuit._adopt(2 * w + offset, (), roles, _sum(b, a, carry))
+    return Circuit._adopt(wire_count, (), roles, _sum(b, a, carry))
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
-    """Scratch-wire bound for the carry tree: sum_{t=l}^{log2(n)-1} (n/2**t - 1)."""
+    """Scratch wires of the carry tree over n / 2**(l-1) blocks:
+    sum_{t=l}^{log2(n)-1} (n/2**t - 1).
+
+    The tree uses exactly this many (checked for every power-of-two block
+    count from 4 to 4096), and this is the one place the count is stated:
+    ``carry_gates``, ``synth_carry`` and ``combined_wire_plan`` size their
+    scratch lists by it, and ``_carry`` builds on the list it is handed.
+    """
     _check_size("n", n, 1)
     _check_size("l", l, 1)
     return sum((n >> t) - 1 for t in range(l, n.bit_length() - 1))
@@ -287,7 +293,8 @@ def synth_carry(n: int, l: int) -> Circuit:
     wire_count = _check_wire_count(2 * m - 1 + carry_tree_scratch_count(m, 1))
     p_wires = list(range(m - 1))
     g_wires = list(range(m - 1, 2 * m - 1))
-    gates, scratch = _carry(g_wires, [None, *p_wires], 2 * m - 1)
+    scratch = list(range(2 * m - 1, wire_count))
+    gates = _carry(g_wires, [None, *p_wires], scratch)
     roles = _labels("P", p_wires, 1)
     roles.update(_labels("G", g_wires))
     roles.update(_labels("S", scratch))
@@ -318,7 +325,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     blocks += [_init(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
     step1 = [gate for block in blocks for gate in block]
 
-    carry, scratch = _carry(g_slots, [None, *p_slots], plan["scratch"][0])
+    carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
 
     # step 3: undo step 1 behind each block's frame (its first 2k-2 gates)
     # except on the carry slots, which keep their value
@@ -347,7 +354,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # slots.  P{m-1} and the scratch are 0 while the carry tree runs
     # backwards, so the tree gates with a known-zero control are left out
     step6 = [g for tail in tails[:-1] for g in tail]
-    zero = {p_slots[-1], *scratch}
+    zero = {p_slots[-1], *plan["scratch"]}
     for gate in reversed(carry):
         if zero.isdisjoint(gate.controls):
             step6.append(gate)

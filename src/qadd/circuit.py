@@ -108,12 +108,14 @@ class Gate(tuple):
 
 # The synthesizers build gates unchecked, through ``tuple.__new__``: a public
 # builder checks its request once, up front (``_check_wires``, ``_check_size``,
-# and ``_check_wire_count`` before it builds anything), the package calls only
-# the unchecked bodies, on wires it derived itself below that wire count, and
-# each emits only gates of the right shape and hands them to ``Circuit._adopt``,
-# which checks nothing.  ``parse_netlist`` builds and adopts its gates the same
-# way, after checking each gate line where it stands.  Everything else goes
-# through ``Gate(...)`` and the per-gate checks of ``Circuit``.
+# and ``_check_wire_count`` before it builds anything), and the package calls
+# only the unchecked bodies.  Every body builds only on the wire lists its
+# caller planned below that wire count, and picks no id of its own: the carry
+# tree takes its scratch list like any other.  Each emits only gates of the
+# right shape and hands them to ``Circuit._adopt``, which checks nothing.
+# ``parse_netlist`` builds and adopts its gates the same way, after checking
+# each gate line where it stands.  Everything else goes through ``Gate(...)``
+# and the per-gate checks of ``Circuit``.
 _new = tuple.__new__
 _NOT, _CNOT, _TOFFOLI, _FANOUT = GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FANOUT
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .blocked import BlockParams
 from .circuit import _check_size
@@ -74,18 +74,15 @@ class ConstantPack:
     c_logstar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
-            # nan compares False both ways, so it fails this test too
-            if not 0 < value < math.inf:
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            # an int or a float, not a bool: the numbers json writes as
+            # such; nan compares False both ways, so it fails this test too
+            if type(value) not in (int, float) or not 0 < value < math.inf:
                 raise ValueError(f"constant {name} must be positive and finite, got {value}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "c_depth": self.c_depth,
-            "c_size": self.c_size,
-            "c_anc": self.c_anc,
-            "c_logstar": self.c_logstar,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONSTANTS = ConstantPack()
@@ -118,7 +115,7 @@ class CostEstimate:
     def __post_init__(self) -> None:
         for name in ("qubits_total", "ancilla", "depth", "size"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            if type(value) not in (int, float) or not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_json_dict(self) -> dict:
@@ -128,7 +125,7 @@ class CostEstimate:
             "ancilla": _num(self.ancilla),
             "depth": _num(self.depth),
             "size": _num(self.size),
-            "params": {k: _num(v) if isinstance(v, float) else v for k, v in self.params.items()},
+            "params": {k: _num(v) for k, v in self.params.items()},
             "constants": self.constants.as_dict(),
         }
 
@@ -268,29 +265,25 @@ def shor_dlog_estimate(
     10240; the combined adder's measured full depth of 45 would give 11520.
     """
     _check_size("n", n, 4)
-    reads = {"ripple": "", "combined": "d", "fanout": "ef"}.get(adder)
+    reads = {"ripple": (), "combined": ("d",), "fanout": ("e", "f")}.get(adder)
     if reads is None:
         raise ValueError(f"unknown adder {adder!r}")
-    params = {"n": n, "adder": adder}
-    for name, value in (("d", d), ("e", e), ("f", f)):
-        if value is not None:
-            if name not in reads:
-                raise ValueError(f"the {adder} adder does not take {name}")
-            params[name] = value
+    given = {"d": d, "e": e, "f": f}
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"the {adder} adder does not take {name}")
+    args = [given[name] for name in reads]
+    if any(value is None for value in args):
+        raise ValueError(f"{adder} adder needs {' and '.join(reads)}")
+    params = {"n": n, "adder": adder, **dict(zip(reads, args))}
     if adder == "ripple":
         forms = ripple_closed_forms(n)
         ancilla = consts.c_anc * forms["ancilla_count"]
         adder_depth = forms["depth"]
-    elif adder == "combined":
-        if d is None:
-            raise ValueError("combined adder needs d")
-        ancilla = combined_adder_bounds(n, d, consts).ancilla
-        adder_depth = combined_adder_bounds(n, d).depth
     else:
-        if e is None or f is None:
-            raise ValueError("fanout adder needs e and f")
-        ancilla = fanout_adder_cost(n, e, f, consts).ancilla
-        adder_depth = fanout_adder_cost(n, e, f).depth
+        formula = combined_adder_bounds if adder == "combined" else fanout_adder_cost
+        ancilla = formula(n, *args, consts).ancilla
+        adder_depth = formula(n, *args).depth
     return CostEstimate(
         formula_id=f"shor-dlog+{adder}",
         qubits_total=4 * n + ancilla,

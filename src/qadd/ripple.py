@@ -116,9 +116,9 @@ def ripple_roles(n: int) -> dict[int, str]:
 def synth_ripple(n: int) -> Circuit:
     """Ripple adder over 2n+1 wires (no ancilla)."""
     _check_size("n", n, 1)
-    _check_wire_count(2 * n + 1)
+    wire_count = _check_wire_count(2 * n + 1)
     b, a, z = ripple_wires(n)
-    return Circuit._adopt(2 * n + 1, (), ripple_roles(n), _ripple_add(b, a, z))
+    return Circuit._adopt(wire_count, (), ripple_roles(n), _ripple_add(b, a, z))
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:

@@ -450,6 +450,7 @@ def verify_exhaustive(
     ``_case_bits`` read, one byte from every input column, per case: on
     ripple n = 256, 64 000 seeded trials took about 10-11 s that way and
     0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
+    This holds for ``verify_random`` too.
     """
     free = _resolve_free(circuit, free_wires)
     _check_exhaustive_request(len(free))
@@ -480,13 +481,8 @@ def verify_random(
     one core of a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
     ``packed_oracle=``.  The free wires, ``trials``, ``seed``, the cap and
     the oracle pair are all checked, in that order, before any input is
-    generated.
-
-    ``packed_oracle=`` is the fast path: one call computes every case's
-    expected columns.  A per-case ``oracle=`` costs one Python call and one
-    ``_case_bits`` read, one byte from every input column, per case: on
-    ripple n = 256, 64 000 seeded trials took about 10-11 s that way and
-    0.4 s with the packed oracle (CPython 3.11 on one core of a 2-vCPU Xeon).
+    generated.  ``packed_oracle=`` is the fast path; ``verify_exhaustive``
+    states what a per-case ``oracle=`` costs.
     """
     free = _resolve_free(circuit, free_wires)
     _check_random_request(trials, len(free), seed)

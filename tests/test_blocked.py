@@ -6,6 +6,7 @@ from qadd import (
     BlockParams,
     Circuit,
     build_circuit,
+    carry_gates,
     compute_stats,
     run,
     synth_carry,
@@ -240,3 +241,27 @@ def test_combined_wire_roles_cover_all_wires():
     c = synth_combined(BlockParams(8, 2))
     assert len(c.role_map) == c.wire_count
     assert len(c.ancilla) == c.wire_count - (2 * 8 + 1)
+
+
+@pytest.mark.parametrize(
+    "g_wires,p_wires,message",
+    [
+        ([0, 1, 2], [None, 3, 4], "block count must be a power of two >= 4, got 3"),
+        ([0, 1, 2, 3, 4, 5], [None, 6, 7, 8, 9, 10], "block count must be a power of two >= 4, got 6"),
+        ([0, 1, 2, 3], [None, 4, 5], "need m propagate slots"),
+    ],
+    ids=["three-blocks", "six-blocks", "short-propagates"],
+)
+def test_carry_gates_rejects_a_bad_block_count_or_short_propagates(g_wires, p_wires, message):
+    with pytest.raises(ValueError, match=message):
+        carry_gates(g_wires, p_wires, 20)
+
+
+@pytest.mark.parametrize("m", [1 << j for j in range(2, 13)])
+def test_carry_tree_uses_exactly_its_scratch_count(m):
+    g_wires = list(range(m))
+    p_wires = [None, *range(m, 2 * m - 1)]
+    gates, scratch = carry_gates(g_wires, p_wires, 2 * m - 1)
+    assert scratch == list(range(2 * m - 1, 2 * m - 1 + carry_tree_scratch_count(m, 1)))
+    used = {w for gate in gates for w in gate.operands} - set(g_wires) - set(p_wires)
+    assert used == set(scratch)

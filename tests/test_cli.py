@@ -3,7 +3,7 @@ import json
 import pytest
 
 import qadd.cli as cli
-from qadd import WIRE_CAP, parse_netlist, synth_ripple, verify_exhaustive
+from qadd import WIRE_CAP, parse_netlist, ripple_closed_forms, synth_ripple, verify_exhaustive
 from qadd.cli import dispatch
 
 
@@ -300,3 +300,60 @@ def test_each_kind_requires_its_flags_and_refuses_the_others(
     code, out, err = run_cli(capsys, command, *_kind_argv(kind, flags))
     assert code == 2 and not out
     assert err.startswith(message)
+
+
+def test_verify_fanout_tree_exhaustive(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--kind", "fanout-tree", "--t", "7", "--f", "2")
+    assert code == 0
+    assert out == (
+        "verify fanout-tree [exhaustive]: cases 256  failures 0  ancilla-violations 0  seed -\n"
+    )
+
+
+def test_verify_fanout_tree_random_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--kind", "fanout-tree", "--t", "1024", "--f", "16", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["total_cases"], payload["seed"]) == (1000, 42)
+    assert payload["failures"] == [] and payload["ancilla_violations"] == []
+
+
+def test_verify_fanout_tree_failure_exits_one(capsys, monkeypatch):
+    def wrong_oracle(circuit, source, targets):
+        def packed(cols, n_cases):
+            return list(cols)  # models no fan-out at all
+
+        return None, packed
+
+    monkeypatch.setattr(cli, "fanout_oracle", wrong_oracle)
+    code, out, _ = run_cli(capsys, "verify", "--kind", "fanout-tree", "--t", "7", "--f", "2")
+    assert code == 1
+    assert "failures 0" not in out
+
+
+def test_estimate_text_output(capsys):
+    code, out, _ = run_cli(
+        capsys, "estimate", "--target", "adder-fanout", "--n", "65536", "--e", "4", "--f", "16"
+    )
+    assert code == 0
+    assert out == (
+        "formula adder-fanout\nqubits_total 180225\nancilla 49152\ndepth 4\nsize 65536\n"
+    )
+    code, out, _ = run_cli(capsys, "estimate", "--target", "shor-dlog", "--n", "16")
+    assert code == 0
+    assert out == "formula shor-dlog+ripple\nqubits_total 64\nancilla 0\ndepth 19712\nsize 4096\n"
+
+
+def test_stats_reports_a_ripple_closed_form_mismatch(capsys, monkeypatch):
+    def off_by_one(n):
+        forms = ripple_closed_forms(n)
+        forms["size"] += 1
+        return forms
+
+    monkeypatch.setattr(cli, "ripple_closed_forms", off_by_one)
+    code, out, err = run_cli(capsys, "stats", "--kind", "ripple", "--n", "5")
+    assert code == 1
+    assert "size 29" in out
+    assert err == "closed-form mismatch: size = 29, expected 30\n"

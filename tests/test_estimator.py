@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -350,3 +352,46 @@ def test_combined_adder_bounds_validates_like_block_params(n, d):
         BlockParams(n, d)
     assert str(bounds_err.value) == str(params_err.value)
 
+
+
+# Values that are not an int or a float.  At one time True was accepted and
+# written as ``true``, Fraction and Decimal were accepted until ``to_json``
+# raised TypeError, and the rest raised TypeError from ``<``.
+NOT_NUMBERS = [True, False, Fraction(1, 2), Decimal("0.5"), "1", None, 1 + 0j]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("name", ["c_depth", "c_size", "c_anc", "c_logstar"])
+def test_constant_pack_holds_only_ints_and_floats(name, value):
+    with pytest.raises(ValueError, match=f"constant {name} must be positive and finite"):
+        ConstantPack(**{name: value})
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("name", ["qubits_total", "ancilla", "depth", "size"])
+def test_cost_estimate_holds_only_ints_and_floats(name, value):
+    numbers = dict(qubits_total=1, ancilla=0, depth=1, size=1)
+    numbers[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+        CostEstimate("x", **numbers)
+
+
+def test_constant_pack_payload_keeps_its_field_order():
+    pack = ConstantPack(c_depth=2, c_size=0.5, c_anc=3.0, c_logstar=7)
+    assert list(pack.as_dict().items()) == [
+        ("c_depth", 2), ("c_size", 0.5), ("c_anc", 3.0), ("c_logstar", 7),
+    ]
+
+
+@pytest.mark.parametrize(
+    "adder,kwargs,message",
+    [
+        ("bogus", {}, "unknown adder 'bogus'"),
+        ("combined", {}, "combined adder needs d"),
+        ("fanout", {"e": 3}, "fanout adder needs e and f"),
+        ("fanout", {"f": 2}, "fanout adder needs e and f"),
+    ],
+)
+def test_shor_dlog_rejects_an_unknown_adder_or_a_missing_parameter(adder, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        shor_dlog_estimate(16, adder, **kwargs)

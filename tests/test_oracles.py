@@ -7,9 +7,19 @@ Python integer arithmetic.
 
 import pytest
 
-from qadd import BlockParams, Circuit, splitmix64, synth_carry, synth_combined, synth_init, synth_ripple, synth_sum
+from qadd import (
+    BlockParams,
+    Circuit,
+    splitmix64,
+    synth_carry,
+    synth_combined,
+    synth_fanout_tree,
+    synth_init,
+    synth_ripple,
+    synth_sum,
+)
 from qadd.oracles import adder_oracle, carry_fold_oracle, init_oracle, sum_oracle
-from qadd.oracles import first_half_oracle
+from qadd.oracles import fanout_oracle, first_half_oracle
 from qadd.sim import _enumeration_columns
 
 
@@ -216,3 +226,37 @@ def test_operand_oracles_name_the_first_missing_label(factory, extra, registers,
     circuit = Circuit(len(labels), role_map=dict(enumerate(labels)))
     with pytest.raises(KeyError, match=missing):
         factory(circuit)
+
+
+def test_carry_fold_oracle_names_a_missing_top_propagate():
+    # P1 and P2 with no gap, so only the m - 1 = 3 propagates check sees it.
+    labels = ["G0", "G1", "G2", "G3", "P1", "P2"]
+    with pytest.raises(KeyError, match="P3"):
+        carry_fold_oracle(Circuit(len(labels), role_map=dict(enumerate(labels))))
+
+
+@pytest.mark.parametrize(
+    "source,targets,message",
+    [
+        (0, [9], "wire 9 out of range for 4 wires"),
+        (4, [1], "wire 4 out of range for 4 wires"),
+        (0, [0, 1], "pairwise distinct"),
+        (2, [1, 2, 3], "pairwise distinct"),
+    ],
+    ids=["target-out-of-range", "source-out-of-range", "source-among-targets", "source-in-middle"],
+)
+def test_fanout_oracle_refuses_wires_outside_the_circuit_or_repeated(source, targets, message):
+    # Such an oracle used to be built and then raise IndexError when called,
+    # or model the source XORed into itself.
+    circuit = synth_fanout_tree(0, [1, 2, 3], 2)
+    with pytest.raises(ValueError, match=message):
+        fanout_oracle(circuit, source, targets)
+
+
+def test_fanout_oracle_reads_one_shot_targets_once():
+    # The targets are read into a list when the oracle is made, so every
+    # call sees all of them, not only the first.
+    circuit = synth_fanout_tree(0, [1, 2, 3], 2)
+    _, packed = fanout_oracle(circuit, 0, iter([1, 2, 3]))
+    for _ in range(2):
+        assert packed([0b01, 0b10, 0b11, 0b00], 2) == [0b01, 0b11, 0b10, 0b01]

@@ -1,12 +1,15 @@
 import pytest
 
 from qadd import (
+    BlockParams,
     Circuit,
     build_circuit,
     compute_stats,
     max_window_span,
     ripple_closed_forms,
     run,
+    synth_combined,
+    synth_init,
     synth_ripple,
     verify_exhaustive,
 )
@@ -146,3 +149,10 @@ def test_ripple_gate_lists_check_their_wires(b, a, extra):
 def test_ripple_add_gates_start_with_the_first_half():
     b, a, z = [2 * i for i in range(6)], [2 * i + 1 for i in range(6)], 12
     assert ripple_add_gates(b, a, z)[: 3 * 6 - 2] == adder_first_half_gates(b, a, z)
+
+
+def test_interleaved_layout_needs_a_ripple_shaped_circuit():
+    with pytest.raises(ValueError, match="no B/A/Z role map"):
+        interleaved_layout(synth_init(3))
+    with pytest.raises(ValueError, match="needs 2n\\+1 wires"):
+        interleaved_layout(synth_combined(BlockParams(8, 2)))

@@ -556,3 +556,19 @@ def test_check_ignores_the_oracles_ancilla_columns():
     assert report.failures and report.ancilla_violations
     for _, expected, _ in report.failures:
         assert all(expected[w] == 0 for w in broken.ancilla)
+
+
+def test_run_packed_needs_one_column_per_wire():
+    c = synth_ripple(2)
+    with pytest.raises(ValueError, match="column count must equal wire count"):
+        run_packed(c, [0] * (c.wire_count - 1), 1)
+    with pytest.raises(ValueError, match="column count must equal wire count"):
+        run_packed(c, [0] * (c.wire_count + 1), 1)
+
+
+@pytest.mark.parametrize("wire", [5, 6])
+def test_verify_random_rejects_a_free_wire_outside_the_circuit(wire):
+    c = synth_ripple(2)  # wires 0..4
+    _, packed = adder_oracle(c)
+    with pytest.raises(ValueError, match=f"free wire {wire} out of range"):
+        verify_random(c, packed_oracle=packed, trials=8, free_wires=[0, wire])

@@ -1,8 +1,8 @@
 """One wire-id rule: a caller's wire id is an ``int`` (not a bool), non-negative
 and distinct from the other ids it comes with, wherever it enters.
 
-``Gate``, ``Circuit``, every gate-list builder, ``synth_fanout_tree`` and the
-``free_wires=`` of ``verify_*`` reject any other id with ``ValueError``, so
+``Gate``, ``Circuit``, every gate-list builder, ``synth_fanout_tree``,
+``fanout_oracle`` and the ``free_wires=`` of ``verify_*`` reject any other id with ``ValueError``, so
 ``Circuit(...)`` accepts exactly the ids a netlist line can hold.  An id
 like ``1.0`` or ``True`` used to be accepted and exported as a line the
 parser rejects, or truncated to another wire.
@@ -36,7 +36,7 @@ from qadd import (
     x,
 )
 from qadd.fanout import fanout_tree_gates
-from qadd.oracles import adder_oracle
+from qadd.oracles import adder_oracle, fanout_oracle
 
 # Wire ids that are not ints.  None of them equals 0 or a wire the calls
 # below use besides, so a rule that only looked for duplicates or negative
@@ -45,6 +45,7 @@ BAD_IDS = [1.0, 0.5, True, "1", None]
 
 RIPPLE_2 = synth_ripple(2)
 RIPPLE_2_ORACLE = adder_oracle(RIPPLE_2)[1]
+FANOUT_4 = synth_fanout_tree(0, [1, 2, 3, 4], 2)
 
 # Each entry takes the bad id and passes it as one wire id; the other wires
 # are distinct ints above 1, so the call is valid with the int 1 in its place.
@@ -73,6 +74,8 @@ CALLS = {
     "fanout_tree_gates": lambda v: fanout_tree_gates(2, [3, v, 4], 2),
     "synth_fanout_tree-source": lambda v: synth_fanout_tree(v, [2, 3, 4], 2),
     "synth_fanout_tree-target": lambda v: synth_fanout_tree(2, [3, v, 4], 2),
+    "fanout_oracle-source": lambda v: fanout_oracle(FANOUT_4, v, [2, 3]),
+    "fanout_oracle-target": lambda v: fanout_oracle(FANOUT_4, 2, [3, v, 4]),
     "verify_exhaustive": lambda v: verify_exhaustive(
         RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, free_wires=[2, v]
     ),
