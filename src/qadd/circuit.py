@@ -107,11 +107,12 @@ class Gate(tuple):
 
 
 # The synthesizers build gates unchecked, through ``tuple.__new__``: a public
-# builder checks its request once, up front (``_check_wires``, ``_check_size``,
-# and ``_check_wire_count`` before it builds anything), and the package calls
-# only the unchecked bodies.  Every body builds only on the wire lists its
-# caller planned below that wire count, and picks no id of its own: the carry
-# tree takes its scratch list like any other.  Each emits only gates of the
+# builder checks its request once, up front (``_check_wires`` or a rule built
+# on it, and ``_check_size``), a synthesizer also checks its wire count by
+# ``_check_wire_count`` before it builds any gate, and the package calls only
+# the unchecked bodies.  Every body builds only on the wire lists its caller
+# planned below that wire count, and picks no id of its own: the carry tree
+# takes its scratch list like any other.  Each emits only gates of the
 # right shape and hands them to ``Circuit._adopt``, which checks nothing.
 # ``parse_netlist`` builds and adopts its gates the same way, after checking
 # each gate line where it stands.  Everything else goes through ``Gate(...)``
@@ -187,7 +188,8 @@ def _check_size(name: str, value: int, least: int) -> None:
 def _check_wire_count(wire_count: int) -> int:
     """The one rule for a circuit's wire count, which it returns: an ``int``,
     not a bool, from 1 to ``WIRE_CAP``.  ``Circuit(...)`` checks it, and each
-    synthesizer checks its count before it builds a wire list, a label or a gate."""
+    synthesizer checks its count before it builds a gate or a label, and
+    before any wire list it plans itself."""
     if type(wire_count) is not int or not 1 <= wire_count <= WIRE_CAP:
         raise ValueError(f"wire count {wire_count!r} is not an int from 1 to the cap {WIRE_CAP}")
     return wire_count

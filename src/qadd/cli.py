@@ -108,7 +108,7 @@ def _build(args: argparse.Namespace) -> Circuit:
         return synth_ripple(args.n)
     if args.kind == "combined":
         return synth_combined(BlockParams(args.n, args.d))
-    return synth_fanout_tree(0, list(range(1, args.t + 1)), args.f)
+    return synth_fanout_tree(0, range(1, args.t + 1), args.f)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -140,7 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _check_random_request(args.trials, free, args.seed)
     circuit = _build(args)
     if args.kind == "fanout-tree":
-        _, packed = fanout_oracle(circuit, 0, list(range(1, args.t + 1)))
+        _, packed = fanout_oracle(circuit, 0, range(1, args.t + 1))
     else:
         _, packed = adder_oracle(circuit)
     if exhaustive:

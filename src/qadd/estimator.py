@@ -88,6 +88,12 @@ class ConstantPack:
 DEFAULT_CONSTANTS = ConstantPack()
 
 
+def _check_pack(consts: ConstantPack) -> None:
+    # read before any constant, so a wrong pack fails as ValueError, not AttributeError
+    if not isinstance(consts, ConstantPack):
+        raise ValueError(f"need a ConstantPack, got {consts!r}")
+
+
 def _num(v: float) -> float | int:
     """Canonicalize integral floats to ints for stable output."""
     if isinstance(v, float) and v.is_integer():
@@ -101,7 +107,9 @@ class CostEstimate:
 
     ``formula_id`` names the expression that produced the numbers; the
     input parameters and the constant pack are echoed so the estimate is
-    reproducible bit for bit.
+    reproducible bit for bit.  The four numbers, ``params`` (``str`` keys;
+    ints, finite floats or strs) and ``constants`` (a ``ConstantPack``) are
+    checked here, so ``to_json`` always writes RFC 8259 JSON.
     """
 
     formula_id: str
@@ -113,10 +121,17 @@ class CostEstimate:
     constants: ConstantPack = DEFAULT_CONSTANTS
 
     def __post_init__(self) -> None:
+        _check_pack(self.constants)
         for name in ("qubits_total", "ancilla", "depth", "size"):
             value = getattr(self, name)
             if type(value) not in (int, float) or not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        # no nan or inf, and no key that json would coerce to a str
+        if not isinstance(self.params, dict) or not {str}.issuperset(map(type, self.params)):
+            raise ValueError(f"params must be a dict with str keys, got {self.params!r}")
+        for key, value in self.params.items():
+            if type(value) not in (int, str) and not (type(value) is float and math.isfinite(value)):
+                raise ValueError(f"param {key} is not an int, a finite float or a str: {value!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,6 +156,7 @@ def tt_cost(t: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEst
     this composite are a depth O(log t/log f + 1), size O(t log t)
     reduction of a t-wide OR to O(log t) bits, iterated log*-many times.)
     """
+    _check_pack(consts)
     _check_size("t", t, 2)
     _check_size("f", f, 2)
     depth = consts.c_depth * (math.log2(t) / math.log2(f) + consts.c_logstar * log_star(t))
@@ -163,6 +179,7 @@ def gcla_cost(m: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostE
     ancilla = size = c * m * log**(m);
     depth = c_depth * (log2(m)/log2(f) + c_logstar * log*(m * log**(m))).
     """
+    _check_pack(consts)
     _check_size("m", m, 2)
     _check_size("f", f, 2)
     mll = m * log_star_star(m)
@@ -189,6 +206,7 @@ def fanout_adder_cost(
     Requires e >= log*(n).  ancilla = c_anc * n * log**(n) / e,
     depth = c_depth * e, size = c_size * n.
     """
+    _check_pack(consts)
     _check_size("n", n, 2)
     _check_size("e", e, 1)
     _check_size("f", f, 2)
@@ -216,6 +234,7 @@ def combined_adder_bounds(
     count (14n), ``ancilla`` the ancilla wires (3n/k).  These dominate the
     measured statistics of every synthesized configuration.
     """
+    _check_pack(consts)
     k = BlockParams(n, d).k
     ancilla = consts.c_anc * COMBINED_ANCILLA_FACTOR * n / k
     depth = (
@@ -264,6 +283,7 @@ def shor_dlog_estimate(
     bounds only the Toffoli depth.  At n = 16, d = 2 they give 19712 and
     10240; the combined adder's measured full depth of 45 would give 11520.
     """
+    _check_pack(consts)
     _check_size("n", n, 4)
     reads = {"ripple": (), "combined": ("d",), "fanout": ("e", "f")}.get(adder)
     if reads is None:

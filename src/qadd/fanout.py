@@ -18,13 +18,27 @@ from .circuit import (
 )
 
 
-def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
-    """Gate list of ``synth_fanout_tree`` on explicit wires."""
+def _fanout_request(source: int, targets: Iterable[int]) -> tuple[int, ...]:
+    """The one rule for a fan-out request, read by the tree's builder, its
+    synthesizer and ``oracles.fanout_oracle``: at least one target, and the
+    source and the targets under the one wire-id rule.  Returns the targets
+    as a tuple; range checks are the caller's."""
     targets = tuple(targets)
     if not targets:
         raise ValueError("need at least one target")
-    _check_size("f", f, 1)
     _check_wires((source,), targets)
+    return targets
+
+
+def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
+    """Gate list of ``synth_fanout_tree`` on explicit wires."""
+    targets = _fanout_request(source, targets)
+    _check_size("f", f, 1)
+    return _fanout_tree(source, targets, f)
+
+
+def _fanout_tree(source: int, targets: tuple[int, ...], f: int) -> list[Gate]:
+    """The tree on a request ``_fanout_request`` and ``_check_size`` passed."""
     t = len(targets)
     if f == 1:
         # degenerate case: a CNOT chain of depth t
@@ -54,7 +68,7 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     2*ceil((t-1)/(f-1)) + 1; f = 1 falls back to a depth-t CNOT chain.
     The circuit is its own inverse.
     """
-    targets = tuple(targets)
-    gates = fanout_tree_gates(source, targets, f)
-    # built first: the gates are linear in the targets the caller passed in
-    return Circuit._adopt(_check_wire_count(max(source, *targets) + 1), (), {}, gates)
+    targets = _fanout_request(source, targets)
+    _check_size("f", f, 1)
+    wire_count = _check_wire_count(max(source, *targets) + 1)
+    return Circuit._adopt(wire_count, (), {}, _fanout_tree(source, targets, f))

@@ -17,7 +17,10 @@ alone, which never compares an oracle's ancilla columns.
 
 from __future__ import annotations
 
-from .circuit import Circuit, _check_wires
+from typing import Iterable
+
+from .circuit import Circuit
+from .fanout import _fanout_request
 from .sim import Oracle as PerCase, PackedOracle as Packed
 
 
@@ -158,17 +161,17 @@ def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 
 def fanout_oracle(
-    circuit: Circuit, source: int, targets: list[int]
+    circuit: Circuit, source: int, targets: Iterable[int]
 ) -> tuple[PerCase, Packed]:
     """Length-t fan-out: every target XORed with the source bit.
 
-    ``source`` and ``targets`` follow the one wire-id rule and must be wires
-    of ``circuit``; any other id raises ``ValueError`` here, not when the
-    oracle is called."""
-    wires = _check_wires((source,), targets)
-    if max(wires) >= circuit.wire_count:
-        raise ValueError(f"wire {max(wires)} out of range for {circuit.wire_count} wires")
-    source, *targets = wires
+    ``source`` and ``targets`` follow the request rule of
+    ``synth_fanout_tree`` and must be wires of ``circuit``; any other
+    request raises ``ValueError`` here, not when the oracle is called."""
+    targets = _fanout_request(source, targets)
+    top = max(source, *targets)
+    if top >= circuit.wire_count:
+        raise ValueError(f"wire {top} out of range for {circuit.wire_count} wires")
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
         out = list(cols)

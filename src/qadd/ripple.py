@@ -125,8 +125,9 @@ def interleaved_layout(circuit: Circuit) -> dict[int, int]:
     """Line layout B_0 A_0 B_1 A_1 ... Z from the circuit's role map.
 
     Only defined for circuits whose wires are exactly the B_i/A_i registers
-    plus Z (the ripple adder); position(B_i)=2i, position(A_i)=2i+1,
-    position(Z)=2n.
+    plus Z (the ripple adder).  Each label's position is its wire in
+    ``ripple_roles``, the numbering ``synth_ripple`` uses: position(B_i)=2i,
+    position(A_i)=2i+1, position(Z)=2n.
     """
     by_role = circuit.wires_by_role()
     if not by_role or "Z" not in by_role:
@@ -134,12 +135,8 @@ def interleaved_layout(circuit: Circuit) -> dict[int, int]:
     n = (circuit.wire_count - 1) // 2
     if circuit.wire_count != 2 * n + 1:
         raise ValueError("interleaved layout needs 2n+1 wires")
-    layout: dict[int, int] = {}
+    labels = ripple_roles(n)
     try:
-        for i in range(n):
-            layout[by_role[f"B{i}"]] = 2 * i
-            layout[by_role[f"A{i}"]] = 2 * i + 1
+        return {by_role[labels[pos]]: pos for pos in range(2 * n + 1)}
     except KeyError as exc:
         raise ValueError(f"circuit has no role label {exc.args[0]}") from None
-    layout[by_role["Z"]] = 2 * n
-    return layout

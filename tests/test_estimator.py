@@ -395,3 +395,47 @@ def test_constant_pack_payload_keeps_its_field_order():
 def test_shor_dlog_rejects_an_unknown_adder_or_a_missing_parameter(adder, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         shor_dlog_estimate(16, adder, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"a": math.nan}, "param a is not an int, a finite float or a str"),
+        ({"a": math.inf}, "param a is not an int, a finite float or a str"),
+        ({"a": -math.inf}, "param a is not an int, a finite float or a str"),
+        ({"a": True}, "param a is not an int, a finite float or a str"),
+        ({"a": None}, "param a is not an int, a finite float or a str"),
+        ({"a": [1]}, "param a is not an int, a finite float or a str"),
+        ({1: 2}, "params must be a dict with str keys"),
+        (None, "params must be a dict with str keys"),
+        ([("a", 1)], "params must be a dict with str keys"),
+    ],
+    ids=repr,
+)
+def test_cost_estimate_params_are_checked_where_the_estimate_is_built(params, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        CostEstimate("x", 1, 0, 1, 1, params=params)
+
+
+def test_cost_estimate_params_hold_ints_finite_floats_and_strs():
+    payload = CostEstimate("x", 1, 0, 1, 1, params={"n": 16, "r": 0.5, "adder": "ripple"})
+    assert json.loads(payload.to_json())["params"] == {"n": 16, "r": 0.5, "adder": "ripple"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: shor_dlog_estimate(16, consts=None),
+        lambda: shor_dlog_estimate(16, "combined", d=2, consts=None),
+        lambda: shor_dlog_estimate(16, "fanout", e=4, f=2, consts={}),
+        lambda: tt_cost(16, 4, consts=3),
+        lambda: gcla_cost(16, 2, consts=None),
+        lambda: fanout_adder_cost(16, 4, 2, consts=None),
+        lambda: combined_adder_bounds(16, 2, consts="default"),
+        lambda: CostEstimate("x", 1, 0, 1, 1, constants=None).to_json(),
+        lambda: CostEstimate("x", 1, 0, 1, 1, constants={"c_depth": 1.0}),
+    ],
+)
+def test_a_constant_pack_is_required_before_any_constant_is_read(call):
+    with pytest.raises(ValueError, match="^need a ConstantPack, got "):
+        call()

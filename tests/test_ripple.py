@@ -156,3 +156,15 @@ def test_interleaved_layout_needs_a_ripple_shaped_circuit():
         interleaved_layout(synth_init(3))
     with pytest.raises(ValueError, match="needs 2n\\+1 wires"):
         interleaved_layout(synth_combined(BlockParams(8, 2)))
+
+
+def test_interleaved_layout_places_each_label_where_synth_ripple_puts_it():
+    # Role labels on permuted wires: each lands on its ripple_roles position.
+    from qadd.ripple import ripple_roles
+
+    n = 5
+    wires = list(range(2 * n + 1))[::-1]
+    c = Circuit(2 * n + 1, role_map={wires[w]: label for w, label in ripple_roles(n).items()})
+    assert interleaved_layout(c) == {wires[w]: w for w in range(2 * n + 1)}
+    for n in (1, 2, 3, 64):
+        assert interleaved_layout(synth_ripple(n)) == {w: w for w in range(2 * n + 1)}
