@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x,
+    _register_labels,
 )
-from .ripple import _check_registers, _first_half, _labels, ripple_roles, ripple_wires
+from .ripple import _check_registers, _first_half, ripple_roles, ripple_wires
 
 
 @dataclass(frozen=True)
@@ -35,21 +36,15 @@ class BlockParams:
     """Operand width n (a power of two) and depth parameter d >= 2.
 
     Derived: block width k = 2**floor(log2(d)), tree level l = floor(log2(d))+1,
-    block count n/k.  Requires n/k >= 4.
+    block count n/k, which must follow ``_block_count``.
     """
 
     n: int
     d: int
 
     def __post_init__(self) -> None:
-        _check_size("n", self.n, 8)
-        if self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         _check_size("d", self.d, 2)
-        if self.n // self.k < 4:
-            raise ValueError(
-                f"need at least 4 blocks, got {self.n // self.k} (n={self.n}, d={self.d})"
-            )
+        _block_count(self.n, self.l)
 
     @property
     def k(self) -> int:
@@ -166,9 +161,7 @@ def carry_gates(
     all of them return to 0.  Returns the gates and that scratch list, the
     one that was checked.
     """
-    m = len(g_wires)
-    if m < 4 or m & (m - 1):
-        raise ValueError(f"block count must be a power of two >= 4, got {m}")
+    m = _block_count(len(g_wires), 1)
     if len(p_wires) != m:
         raise ValueError("need m propagate slots (index 0 unused)")
     # a first_scratch that is not an int cannot offset a range: check it alone
@@ -233,8 +226,8 @@ def synth_init(w: int) -> Circuit:
     wire_count = _check_wire_count(2 * w + 2)
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
-    roles = _labels("B", b)
-    roles.update(_labels("A", a))
+    roles = _register_labels("B", b)
+    roles.update(_register_labels("A", a))
     roles[g] = "G"
     roles[p] = "P"
     return Circuit._adopt(wire_count, (), roles, _init(b, a, g, p))
@@ -255,10 +248,22 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     b = [offset + 2 * i for i in range(w)]
     a = [offset + 2 * i + 1 for i in range(w)]
     roles = {0: "C"} if with_carry_in else {}
-    roles.update(_labels("B", b))
-    roles.update(_labels("A", a))
+    roles.update(_register_labels("B", b))
+    roles.update(_register_labels("A", a))
     carry = 0 if with_carry_in else None
     return Circuit._adopt(wire_count, (), roles, _sum(b, a, carry))
+
+
+def _block_count(n: int, l: int) -> int:
+    """The one rule for the carry tree's block count m, which it returns: n / 2**(l-1)
+    blocks, a power of two >= 4 with nothing left over.  n and l follow the size
+    rule, and the block width 2**(l-1) is never built, however large l is."""
+    _check_size("n", n, 0)
+    _check_size("l", l, 1)
+    m = n >> (l - 1)
+    if m < 4 or n & (n - 1):
+        raise ValueError(f"block count must be a power of two >= 4, got {n} / 2**{l - 1}")
+    return m
 
 
 def carry_tree_scratch_count(n: int, l: int) -> int:
@@ -283,21 +288,15 @@ def synth_carry(n: int, l: int) -> Circuit:
     P1..P{m-1} first (ids 0..m-2), then generate wires G0..G{m-1}
     (ids m-1..2m-2), then scratch ancillae.
     """
-    _check_size("n", n, 4)
-    if n & (n - 1):
-        raise ValueError(f"n must be a power of two, got {n}")
-    _check_size("l", l, 1)
-    m = n >> (l - 1)
-    if m < 4:
-        raise ValueError(f"need n/2**(l-1) >= 4, got {m}")
+    m = _block_count(n, l)
     wire_count = _check_wire_count(2 * m - 1 + carry_tree_scratch_count(m, 1))
     p_wires = list(range(m - 1))
     g_wires = list(range(m - 1, 2 * m - 1))
     scratch = list(range(2 * m - 1, wire_count))
     gates = _carry(g_wires, [None, *p_wires], scratch)
-    roles = _labels("P", p_wires, 1)
-    roles.update(_labels("G", g_wires))
-    roles.update(_labels("S", scratch))
+    roles = _register_labels("P", p_wires, 1)
+    roles.update(_register_labels("G", g_wires))
+    roles.update(_register_labels("S", scratch))
     return Circuit._adopt(wire_count, scratch, roles, gates)
 
 
@@ -376,7 +375,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     """Wire bookkeeping shared by synthesis and tests, checked for the cap first."""
     n, m = params.n, params.blocks
-    scratch_count = carry_tree_scratch_count(n, params.l)
+    scratch_count = carry_tree_scratch_count(m, 1)
     wire_count = _check_wire_count(2 * n + 2 * m - 1 + scratch_count)
     g_slots = [2 * n + 1 + j for j in range(m - 1)]
     p_slots = [2 * n + m + j for j in range(m - 1)]
@@ -401,9 +400,9 @@ def synth_combined(params: BlockParams) -> Circuit:
     n, m = params.n, params.blocks
     plan = combined_wire_plan(params)
     roles = ripple_roles(n)  # the data wires are laid out as in the ripple adder
-    roles.update(_labels("G", plan["g_slots"]))
-    roles.update(_labels("P", plan["p_slots"], 1))
-    roles.update(_labels("S", plan["scratch"]))
+    roles.update(_register_labels("G", plan["g_slots"]))
+    roles.update(_register_labels("P", plan["p_slots"], 1))
+    roles.update(_register_labels("S", plan["scratch"]))
     ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
     gates = [gate for _, section in combined_step_gates(params) for gate in section]
     return Circuit._adopt(plan["wire_count"], ancilla, roles, gates)

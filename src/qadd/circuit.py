@@ -352,6 +352,41 @@ class Circuit:
         )
 
 
+def _register_labels(prefix: str, wires: list[int], start: int = 0) -> dict[int, str]:
+    """Role labels ``{prefix}{start}``, ``{prefix}{start + 1}``, ... in wire order:
+    the register the synthesizers write and ``_register_wires`` reads back."""
+    return {w: f"{prefix}{i}" for i, w in enumerate(wires, start)}
+
+
+def _register_wires(by_role: dict[str, int], prefix: str, start: int = 0) -> list[int]:
+    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to
+    the first gap.  A label of the register past the gap (``prefix``, then
+    ASCII digits, at an index >= ``start``) raises ``KeyError`` naming the
+    missing label, rather than being passed through unchanged.  Indices are
+    compared as digit strings, so a label of any length is read."""
+    out = []
+    i = start
+    while f"{prefix}{i}" in by_role:
+        out.append(by_role[f"{prefix}{i}"])
+        i += 1
+    gap = str(i)
+    for label in by_role:
+        digits = label[len(prefix) :].lstrip("0")
+        if label.startswith(prefix) and digits.isascii() and digits.isdigit():
+            if (len(digits), digits) > (len(gap), gap):
+                raise KeyError(f"{prefix}{i}")
+    return out
+
+
+def _operands(by_role: dict[str, int]) -> tuple[list[int], list[int]]:
+    """The B and A registers of an adder or a block, which must be equally
+    wide: ``KeyError`` names the first label the narrower one lacks."""
+    b, a = _register_wires(by_role, "B"), _register_wires(by_role, "A")
+    if len(b) != len(a):
+        raise KeyError(f"A{len(a)}" if len(a) < len(b) else f"B{len(b)}")
+    return b, a
+
+
 def build_circuit(wire_count: int, ancilla: Iterable[int] = ()) -> Circuit:
     """Empty circuit over ``wire_count`` wires with the given ancilla set."""
     return Circuit(wire_count, ancilla)

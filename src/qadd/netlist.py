@@ -118,7 +118,7 @@ def parse_netlist(text: str) -> Circuit:
         raise NetlistError(1, 1, f"missing format line {MAGIC!r}")
 
     wire_count: int | None = None
-    ancilla: list[int] = []
+    ancilla: list[int] | None = None
     roles: dict[int, str] = {}
     labels: set[str] = set()
     gates: list[Gate] = []
@@ -126,7 +126,6 @@ def parse_netlist(text: str) -> Circuit:
     # is fixed before any gate line is accepted, so each distinct valid gate
     # line is checked once and its repeats share that Gate.
     seen: dict[str, Gate] = {}
-    seen_ancilla = False
     specs = _SPECS
     add_gate = gates.append
 
@@ -138,11 +137,25 @@ def parse_netlist(text: str) -> Circuit:
         if not tokens:
             continue
         head = tokens[0]
-        spec = specs.get(head)
+        if head == "#" and tokens[1:2] != ["role"]:
+            continue  # other comments are ignored
 
+        if head == "qubits":
+            if wire_count is not None:
+                raise NetlistError(lineno, 1, "duplicate qubits line")
+            ids = _int_tokens(tokens[1:], lineno, raw, 1)
+            if len(ids) != 1 or ids[0] < 1:
+                raise NetlistError(lineno, 1, "qubits line needs one positive count")
+            if ids[0] > WIRE_CAP:
+                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
+            wire_count = ids[0]
+            continue
+
+        if wire_count is None:
+            raise NetlistError(lineno, 1, "qubits line must precede everything else")
+
+        spec = specs.get(head)
         if spec is not None:
-            if wire_count is None:
-                raise NetlistError(lineno, 1, "qubits line must precede everything else")
             del tokens[0]
             digits = "".join(tokens)
             try:
@@ -170,46 +183,28 @@ def parse_netlist(text: str) -> Circuit:
             add_gate(gate)
             continue
 
-        if head == "#":
-            if len(tokens) >= 2 and tokens[1] == "role":
-                if wire_count is None:
-                    raise NetlistError(lineno, 1, "qubits line must precede everything else")
-                if gates:
-                    raise NetlistError(lineno, 1, "role line after gates")
-                if len(tokens) != 4:
-                    raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
-                (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)
-                label = tokens[3]
-                if wire in roles:
-                    raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
-                if wire >= wire_count:
-                    raise NetlistError(lineno, 1, f"role wire {wire} out of range")
-                if label in labels:
-                    raise NetlistError(lineno, 1, f"duplicate role label {label!r}")
-                roles[wire] = label
-                labels.add(label)
-            continue  # other comments are ignored
-
-        if head == "qubits":
-            if wire_count is not None:
-                raise NetlistError(lineno, 1, "duplicate qubits line")
-            ids = _int_tokens(tokens[1:], lineno, raw, 1)
-            if len(ids) != 1 or ids[0] < 1:
-                raise NetlistError(lineno, 1, "qubits line needs one positive count")
-            if ids[0] > WIRE_CAP:
-                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
-            wire_count = ids[0]
+        if head == "#":  # a role line
+            if gates:
+                raise NetlistError(lineno, 1, "role line after gates")
+            if len(tokens) != 4:
+                raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
+            (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)
+            label = tokens[3]
+            if wire in roles:
+                raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
+            if wire >= wire_count:
+                raise NetlistError(lineno, 1, f"role wire {wire} out of range")
+            if label in labels:
+                raise NetlistError(lineno, 1, f"duplicate role label {label!r}")
+            roles[wire] = label
+            labels.add(label)
             continue
 
-        if wire_count is None:
-            raise NetlistError(lineno, 1, "qubits line must precede everything else")
-
         if head == "ancilla":
-            if seen_ancilla:
+            if ancilla is not None:
                 raise NetlistError(lineno, 1, "duplicate ancilla line")
             if gates:
                 raise NetlistError(lineno, 1, "ancilla line after gates")
-            seen_ancilla = True
             ancilla = _int_tokens(tokens[1:], lineno, raw, 1)
             bad = [w for w in ancilla if w >= wire_count]
             if bad:
@@ -225,4 +220,4 @@ def parse_netlist(text: str) -> Circuit:
     # Every check the public Circuit constructor makes has been made above,
     # line by line: the qubits line against the cap, and every other line
     # against this wire count.  So the parts are adopted as they are.
-    return Circuit._adopt(wire_count, ancilla, roles, gates)
+    return Circuit._adopt(wire_count, ancilla or (), roles, gates)

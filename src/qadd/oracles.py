@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit
+from .circuit import Circuit, _operands, _register_wires
 from .fanout import _fanout_request
 from .sim import Oracle as PerCase, PackedOracle as Packed
 
@@ -27,32 +27,6 @@ from .sim import Oracle as PerCase, PackedOracle as Packed
 def _pair(packed: Packed) -> tuple[PerCase, Packed]:
     """The factories' ``(per_case, packed)`` pair: one state is one case."""
     return (lambda state: packed(list(state), 1)), packed
-
-
-def _roles(by_role: dict[str, int], prefix: str, start: int = 0) -> list[int]:
-    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to
-    the first gap.  A label of the register past the gap (``prefix``, then
-    decimal digits, at an index >= ``start``) raises ``KeyError`` naming the
-    missing label, rather than being passed through unchanged."""
-    out = []
-    i = start
-    while f"{prefix}{i}" in by_role:
-        out.append(by_role[f"{prefix}{i}"])
-        i += 1
-    for label in by_role:
-        digits = label[len(prefix) :]
-        if label.startswith(prefix) and digits.isascii() and digits.isdigit() and int(digits) > i:
-            raise KeyError(f"{prefix}{i}")
-    return out
-
-
-def _operands(by_role: dict[str, int]) -> tuple[list[int], list[int]]:
-    """The B and A registers of an adder or a block, which must be equally
-    wide: ``KeyError`` names the first label the narrower one lacks."""
-    b, a = _roles(by_role, "B"), _roles(by_role, "A")
-    if len(b) != len(a):
-        raise KeyError(f"A{len(a)}" if len(a) < len(b) else f"B{len(b)}")
-    return b, a
 
 
 def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
@@ -143,9 +117,9 @@ def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Prefix generate fold: out g_j = g_j ^ (prefix_{j-1} & p_j)."""
     by_role = circuit.wires_by_role()
-    g = _roles(by_role, "G")
+    g = _register_wires(by_role, "G")
     m = len(g)
-    p = [None, *_roles(by_role, "P", 1)]
+    p = [None, *_register_wires(by_role, "P", 1)]
     if len(p) < m:
         raise KeyError(f"P{len(p)}")
 

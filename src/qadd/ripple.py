@@ -11,7 +11,8 @@ spans more than 3 adjacent positions.
 from __future__ import annotations
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx,
+    _register_labels,
 )
 
 
@@ -99,15 +100,10 @@ def ripple_wires(n: int) -> tuple[list[int], list[int], int]:
     return [2 * i for i in range(n)], [2 * i + 1 for i in range(n)], 2 * n
 
 
-def _labels(prefix: str, wires: list[int], start: int = 0) -> dict[int, str]:
-    """Role labels ``{prefix}{start}``, ``{prefix}{start + 1}``, ... in wire order."""
-    return {w: f"{prefix}{i}" for i, w in enumerate(wires, start)}
-
-
 def ripple_roles(n: int) -> dict[int, str]:
     b, a, z = ripple_wires(n)
-    roles = _labels("B", b)
-    roles.update(_labels("A", a))
+    roles = _register_labels("B", b)
+    roles.update(_register_labels("A", a))
     roles[z] = "Z"
     return roles
 

@@ -321,9 +321,29 @@ def _iter_set_bits(mask: int, limit: int) -> list[int]:
     return out
 
 
+def _check_result(
+    result: Sequence[int], data_wires: list[int], wire_count: int, bits: int
+) -> list[int]:
+    """The rule for what a caller's oracle returns, checked before any of it
+    is decoded: exactly ``wire_count`` entries, and each data-wire entry an
+    ``int`` (bools and other subclasses count) from 0 to 2**bits - 1, one
+    column of ``bits`` cases, so each entry of a per-case result is a bit.
+    Ancilla entries are never read.  Returns the data-wire entries in order."""
+    if len(result) != wire_count:
+        raise ValueError(f"oracle returned {len(result)} entries for {wire_count} wires")
+    values = [result[w] for w in data_wires]
+    for w, v in zip(data_wires, values):
+        if not isinstance(v, int) or v < 0 or v >> bits:
+            got = "an int out of range" if isinstance(v, int) else repr(v)
+            kind = "a bit" if bits == 1 else f"an int from 0 to 2**{bits} - 1"
+            raise ValueError(f"oracle entry for wire {w} is {got}, not {kind}")
+    return values
+
+
 def _packed_from_per_case(circuit: Circuit, oracle: Oracle) -> PackedOracle:
-    """Packed form of a per-case oracle: it calls ``oracle`` once per case
-    and keeps its data-wire bits (ancilla columns come out 0)."""
+    """Packed form of a per-case oracle: it calls ``oracle`` once per case,
+    checks each result by ``_check_result`` and keeps its data-wire bits
+    (ancilla columns come out 0)."""
     wc = circuit.wire_count
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
 
@@ -334,9 +354,9 @@ def _packed_from_per_case(circuit: Circuit, oracle: Oracle) -> PackedOracle:
         exp_bufs = [bytearray((n_cases + 7) // 8) for _ in range(wc)]
         for case in range(n_cases):
             byte, bit = case >> 3, 1 << (case & 7)
-            expected = oracle(_case_bits(in_bufs, case, wc))
-            for w in data_wires:
-                if expected[w]:
+            expected = _check_result(oracle(_case_bits(in_bufs, case, wc)), data_wires, wc, 1)
+            for w, v in zip(data_wires, expected):
+                if v:
                     exp_bufs[w][byte] |= bit
         return [int.from_bytes(buf, "little") for buf in exp_bufs]
 
@@ -367,6 +387,7 @@ def _check_columns(
     out_cols = run_packed(circuit, in_cols, n_cases)
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
     exp_cols = packed_oracle(list(in_cols), n_cases)
+    _check_result(exp_cols, data_wires, wc, n_cases)
 
     diff = 0
     for w in data_wires:
