@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .circuit import (
     Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x,
-    _register_labels,
+    _shown,
 )
 from .ripple import _check_registers, _first_half, ripple_roles, ripple_wires
 
@@ -226,10 +226,7 @@ def synth_init(w: int) -> Circuit:
     wire_count = _check_wire_count(2 * w + 2)
     b, a, _ = ripple_wires(w)
     g, p = 2 * w, 2 * w + 1
-    roles = _register_labels("B", b)
-    roles.update(_register_labels("A", a))
-    roles[g] = "G"
-    roles[p] = "P"
+    roles = {"B": dict(enumerate(b)), "A": dict(enumerate(a))}, {"G": g, "P": p}
     return Circuit._adopt(wire_count, (), roles, _init(b, a, g, p))
 
 
@@ -247,9 +244,7 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
     wire_count = _check_wire_count(2 * w + offset)
     b = [offset + 2 * i for i in range(w)]
     a = [offset + 2 * i + 1 for i in range(w)]
-    roles = {0: "C"} if with_carry_in else {}
-    roles.update(_register_labels("B", b))
-    roles.update(_register_labels("A", a))
+    roles = {"B": dict(enumerate(b)), "A": dict(enumerate(a))}, {"C": 0} if with_carry_in else {}
     carry = 0 if with_carry_in else None
     return Circuit._adopt(wire_count, (), roles, _sum(b, a, carry))
 
@@ -262,7 +257,9 @@ def _block_count(n: int, l: int) -> int:
     _check_size("l", l, 1)
     m = n >> (l - 1)
     if m < 4 or n & (n - 1):
-        raise ValueError(f"block count must be a power of two >= 4, got {n} / 2**{l - 1}")
+        raise ValueError(
+            f"block count must be a power of two >= 4, got {_shown(n)} / 2**{_shown(l - 1)}"
+        )
     return m
 
 
@@ -294,10 +291,9 @@ def synth_carry(n: int, l: int) -> Circuit:
     g_wires = list(range(m - 1, 2 * m - 1))
     scratch = list(range(2 * m - 1, wire_count))
     gates = _carry(g_wires, [None, *p_wires], scratch)
-    roles = _register_labels("P", p_wires, 1)
-    roles.update(_register_labels("G", g_wires))
-    roles.update(_register_labels("S", scratch))
-    return Circuit._adopt(wire_count, scratch, roles, gates)
+    registers = {"P": dict(enumerate(p_wires, 1)), "G": dict(enumerate(g_wires))}
+    registers["S"] = dict(enumerate(scratch))
+    return Circuit._adopt(wire_count, scratch, (registers, {}), gates)
 
 
 def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
@@ -399,10 +395,9 @@ def synth_combined(params: BlockParams) -> Circuit:
     """
     n, m = params.n, params.blocks
     plan = combined_wire_plan(params)
-    roles = ripple_roles(n)  # the data wires are laid out as in the ripple adder
-    roles.update(_register_labels("G", plan["g_slots"]))
-    roles.update(_register_labels("P", plan["p_slots"], 1))
-    roles.update(_register_labels("S", plan["scratch"]))
-    ancilla = plan["g_slots"] + plan["p_slots"] + plan["scratch"]
+    registers, named = ripple_roles(n)  # the data wires are laid out as in the ripple adder
+    g, p, s = plan["g_slots"], plan["p_slots"], plan["scratch"]
+    registers.update(G=dict(enumerate(g)), P=dict(enumerate(p, 1)), S=dict(enumerate(s)))
+    ancilla = g + p + s
     gates = [gate for _, section in combined_step_gates(params) for gate in section]
-    return Circuit._adopt(plan["wire_count"], ancilla, roles, gates)
+    return Circuit._adopt(plan["wire_count"], ancilla, (registers, named), gates)

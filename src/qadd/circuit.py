@@ -1,8 +1,8 @@
 """Core reversible-circuit IR: wires, gates, stats, and layout span.
 
 A circuit is an ordered list of gates over ``wire_count`` wires, with a
-declared set of ancilla wires (required to start and end in 0) and an
-optional role map labeling wires (``B3``, ``A0``, ``Z``, ...).  Depth is
+declared set of ancilla wires (required to start and end in 0) and
+optional role registers, labelled on export (``B3``, ``A0``, ``Z``, ...).  Depth is
 never stored; it is derived from the wire-sharing dependency DAG, so the
 reported statistics are always consistent with the gate list.
 """
@@ -172,26 +172,38 @@ def _check_wires(*registers: Iterable[int]) -> list[int]:
         bad = next(w for w in wires if type(w) is not int)
         raise ValueError(f"wire id {bad!r} is not an int")
     if wires and min(wires) < 0:
-        raise ValueError(f"negative wire id {min(wires)}")
+        raise ValueError(f"negative wire id {_shown(min(wires))}")
     if len(set(wires)) != len(wires):
         raise ValueError("wire ids must be pairwise distinct")
     return wires
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for a rule's message, or the sign and bit length of
+    an int with more digits than Python converts to text, so a refusal still
+    names its rule."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
 
 
 def _check_size(name: str, value: int, least: int) -> None:
     """The one rule for a caller's size parameter (a width, a count, a
     bound): an ``int``, not a bool, and at least ``least``."""
     if type(value) is not int or value < least:
-        raise ValueError(f"need an int {name} >= {least}, got {value!r}")
+        raise ValueError(f"need an int {name} >= {least}, got {_shown(value)}")
 
 
 def _check_wire_count(wire_count: int) -> int:
     """The one rule for a circuit's wire count, which it returns: an ``int``,
     not a bool, from 1 to ``WIRE_CAP``.  ``Circuit(...)`` checks it, and each
-    synthesizer checks its count before it builds a gate or a label, and
+    synthesizer checks its count before it builds a gate or a register, and
     before any wire list it plans itself."""
     if type(wire_count) is not int or not 1 <= wire_count <= WIRE_CAP:
-        raise ValueError(f"wire count {wire_count!r} is not an int from 1 to the cap {WIRE_CAP}")
+        raise ValueError(
+            f"wire count {_shown(wire_count)} is not an int from 1 to the cap {WIRE_CAP}"
+        )
     return wire_count
 
 
@@ -249,8 +261,9 @@ class Circuit:
 
     Circuits are meant to be immutable once synthesis is finished;
     ``append``/``extend`` are the only mutators.  At most ``WIRE_CAP``
-    wires.  ``role_map`` is always a dict, empty for a circuit without
-    roles; role labels are ``str``, unique, non-empty and free of whitespace.
+    wires.  Roles are registers (``_roles``, the form ``_read_labels`` reads
+    labels into), and ``role_map`` writes their labels, a new dict on each
+    read; role labels are ``str``, unique, non-empty and free of whitespace.
 
     Each trust boundary checks once.  ``Circuit(...)``, ``append`` and
     ``extend`` take parts from any caller, so they check every gate against
@@ -263,7 +276,7 @@ class Circuit:
     collector paused.
     """
 
-    __slots__ = ("wire_count", "ancilla", "role_map", "gates")
+    __slots__ = ("wire_count", "ancilla", "_roles", "gates")
 
     def __init__(
         self,
@@ -276,11 +289,11 @@ class Circuit:
         self.wire_count = wire_count
         anc = _check_wires(ancilla)
         if max(anc, default=-1) >= wire_count:
-            raise ValueError(f"ancilla wire {max(anc)} out of range for {wire_count} wires")
+            raise ValueError(f"ancilla wire {_shown(max(anc))} out of range for {wire_count} wires")
         self.ancilla = frozenset(anc)
         top = max(_check_wires(role_map or ()), default=-1)
         if top >= wire_count:
-            raise ValueError(f"role wire {top} out of range for {wire_count} wires")
+            raise ValueError(f"role wire {_shown(top)} out of range for {wire_count} wires")
         roles = dict(role_map or ())
         for label in roles.values():
             # A label is one netlist token, so it can neither inject a line
@@ -289,22 +302,28 @@ class Circuit:
                 raise ValueError(f"role label {label!r} is not a non-empty str without whitespace")
         if len(set(roles.values())) != len(roles):
             raise ValueError("role labels must be unique")
-        self.role_map: dict[int, str] = roles
+        self._roles = _read_labels(roles)
         self.gates: list[Gate] = []
         self.extend(gates)
 
     @classmethod
     def _adopt(
-        cls, wire_count: int, ancilla: Iterable[int], role_map: dict[int, str], gates: list[Gate]
+        cls, wire_count: int, ancilla: Iterable[int], roles: tuple[dict, dict], gates: list[Gate]
     ) -> "Circuit":
         """Parts a builder has checked, its wire count by ``_check_wire_count``,
         stored as given and checked no further: the caller hands over fresh ones."""
         self = object.__new__(cls)
         self.wire_count = wire_count
         self.ancilla = frozenset(ancilla)
-        self.role_map = role_map
+        self._roles = roles
         self.gates = gates
         return self
+
+    @property
+    def role_map(self) -> dict[int, str]:
+        """Role labels by wire, written from the roles on each read."""
+        labels = {w: f"{p}{i}" for p, reg in self._roles[0].items() for i, w in reg.items()}
+        return labels | {w: label for label, w in self._roles[1].items()}
 
     def append(self, gate: Gate) -> "Circuit":
         return self.extend((gate,))
@@ -317,13 +336,15 @@ class Circuit:
                 raise TypeError(f"expected a Gate, got {type(gate).__name__}")
             for w in gate[1] + gate[2]:
                 if w >= wire_count:
-                    raise ValueError(f"gate operand {w} out of range for {wire_count} wires")
+                    raise ValueError(
+                        f"gate operand {_shown(w)} out of range for {wire_count} wires"
+                    )
             out.append(gate)
         return self
 
     def inverse(self) -> "Circuit":
-        """Reversed gate list; every supported gate is an involution."""
-        return Circuit._adopt(self.wire_count, self.ancilla, dict(self.role_map), self.gates[::-1])
+        """Reversed gate list, sharing the roles; every supported gate is an involution."""
+        return Circuit._adopt(self.wire_count, self.ancilla, self._roles, self.gates[::-1])
 
     def stats(self) -> CircuitStats:
         return compute_stats(self)
@@ -341,7 +362,7 @@ class Circuit:
         return (
             self.wire_count == other.wire_count
             and self.ancilla == other.ancilla
-            and self.role_map == other.role_map
+            and self._roles == other._roles
             and self.gates == other.gates
         )
 
@@ -352,36 +373,44 @@ class Circuit:
         )
 
 
-def _register_labels(prefix: str, wires: list[int], start: int = 0) -> dict[int, str]:
-    """Role labels ``{prefix}{start}``, ``{prefix}{start + 1}``, ... in wire order:
-    the register the synthesizers write and ``_register_wires`` reads back."""
-    return {w: f"{prefix}{i}" for i, w in enumerate(wires, start)}
+def _read_labels(role_map: Mapping[int, str]) -> tuple[dict, dict]:
+    """The one label reader, into ``(prefix -> {index: wire}, label -> wire)``:
+    ``{prefix}{index}`` joins a register if ``index`` is at most 7 ASCII digits (as
+    in ``WIRE_CAP``) with no leading zero; any other label is kept whole."""
+    registers, named = {}, {}
+    for w, label in role_map.items():
+        prefix = label.rstrip("0123456789")
+        index = label[len(prefix) :]
+        if 0 < len(index) <= 7 and (index[0] != "0" or index == "0"):
+            registers.setdefault(prefix, {})[int(index)] = w
+        else:
+            named[label] = w
+    return registers, named
 
 
-def _register_wires(by_role: dict[str, int], prefix: str, start: int = 0) -> list[int]:
-    """Wires labelled ``{prefix}{start}``, ``{prefix}{start + 1}``, ... up to
-    the first gap.  A label of the register past the gap (``prefix``, then
-    ASCII digits, at an index >= ``start``) raises ``KeyError`` naming the
-    missing label, rather than being passed through unchanged.  Indices are
-    compared as digit strings, so a label of any length is read."""
-    out = []
-    i = start
-    while f"{prefix}{i}" in by_role:
-        out.append(by_role[f"{prefix}{i}"])
-        i += 1
-    gap = str(i)
-    for label in by_role:
+def _register(circuit: Circuit, prefix: str, start: int = 0) -> list[int]:
+    """Wires of register ``prefix`` (ending in no digit) from index ``start``
+    up to the first gap.  A label of the register past the gap, an index or
+    a label kept whole (``B007``, or more than 7 digits, compared as digit
+    strings), raises ``KeyError`` naming the missing label."""
+    register = circuit._roles[0].get(prefix, {})
+    end = start
+    while end in register:
+        end += 1
+    gap = str(end)
+    # the register's largest index is read with the labels kept whole
+    for label in (*circuit._roles[1], f"{prefix}{max(register, default=0)}"):
         digits = label[len(prefix) :].lstrip("0")
         if label.startswith(prefix) and digits.isascii() and digits.isdigit():
             if (len(digits), digits) > (len(gap), gap):
-                raise KeyError(f"{prefix}{i}")
-    return out
+                raise KeyError(f"{prefix}{end}")
+    return [register[i] for i in range(start, end)]
 
 
-def _operands(by_role: dict[str, int]) -> tuple[list[int], list[int]]:
+def _operands(circuit: Circuit) -> tuple[list[int], list[int]]:
     """The B and A registers of an adder or a block, which must be equally
     wide: ``KeyError`` names the first label the narrower one lacks."""
-    b, a = _register_wires(by_role, "B"), _register_wires(by_role, "A")
+    b, a = _register(circuit, "B"), _register(circuit, "A")
     if len(b) != len(a):
         raise KeyError(f"A{len(a)}" if len(a) < len(b) else f"B{len(b)}")
     return b, a

@@ -71,4 +71,4 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     targets = _fanout_request(source, targets)
     _check_size("f", f, 1)
     wire_count = _check_wire_count(max(source, *targets) + 1)
-    return Circuit._adopt(wire_count, (), {}, _fanout_tree(source, targets, f))
+    return Circuit._adopt(wire_count, (), ({}, {}), _fanout_tree(source, targets, f))

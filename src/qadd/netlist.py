@@ -9,8 +9,11 @@ Layout (newline-terminated, no trailing whitespace, decimal wire ids):
     x q | cx c t | ccx c1 c2 t | fo s t1 ... tk | tg c1 ... ck t
 
 Export is canonical, so equal circuits produce byte-identical documents
-and ``parse_netlist(export_netlist(c)) == c``.  Other ``#`` lines and
-blank lines are ignored on input.
+and ``parse_netlist(export_netlist(c)) == c``.  On input, blank lines are
+ignored, and so is a comment: a line whose first token is a lone ``#``
+and whose second is not ``role``, wherever it stands.  A ``#`` glued to
+its text is no comment: ``#comment`` is refused as ``unknown opcode
+'#comment'``, and before the ``qubits`` line as a line that precedes it.
 
 The parser is the trust boundary for netlist text, and every error is a
 ``NetlistError`` at the line that caused it.  The ``qubits`` line comes
@@ -43,6 +46,7 @@ from .circuit import (
     Gate,
     _collector_paused,
     _new,
+    _read_labels,
 )
 
 MAGIC = "qadd 1"
@@ -66,8 +70,8 @@ def export_netlist(circuit: Circuit) -> str:
     lines = [MAGIC, f"qubits {circuit.wire_count}"]
     anc = " ".join(str(w) for w in sorted(circuit.ancilla))
     lines.append(f"ancilla {anc}".rstrip())
-    for w in sorted(circuit.role_map):
-        lines.append(f"# role {w} {circuit.role_map[w]}")
+    for w, label in sorted(circuit.role_map.items()):
+        lines.append(f"# role {w} {label}")
     append = lines.append
     join = " ".join
     for kind, controls, targets in circuit.gates:
@@ -220,4 +224,4 @@ def parse_netlist(text: str) -> Circuit:
     # Every check the public Circuit constructor makes has been made above,
     # line by line: the qubits line against the cap, and every other line
     # against this wire count.  So the parts are adopted as they are.
-    return Circuit._adopt(wire_count, ancilla or (), roles, gates)
+    return Circuit._adopt(wire_count, ancilla or (), _read_labels(roles), gates)

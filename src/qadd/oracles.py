@@ -4,8 +4,8 @@ Oracles are written from the defining recurrences (carry = majority,
 propagate = XOR chain, generate = AND), never from the gate-level
 constructions they are used to check.  Each oracle is written once, in
 packed form: it maps bit columns (one int per wire, bit c = case c) to the
-expected output columns, reading wire positions from the circuit's role
-map, so it is independent of wire-id conventions.  Each factory returns a
+expected output columns, reading wire positions from the circuit's
+registers and named roles, so it is independent of wire-id conventions.  Each factory returns a
 pair ``(per_case, packed)``; the per-case form, which maps one full-width
 bit state to the expected output state, is derived from the packed one as
 a one-case run.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .circuit import Circuit, _operands, _register_wires
+from .circuit import Circuit, _operands, _register, _shown
 from .fanout import _fanout_request
 from .sim import Oracle as PerCase, PackedOracle as Packed
 
@@ -31,8 +31,7 @@ def _pair(packed: Packed) -> tuple[PerCase, Packed]:
 
 def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """In-place addition: B <- bits of a+b, Z <- z ^ s_n, A unchanged."""
-    by_role = circuit.wires_by_role()
-    (b, a), z = _operands(by_role), by_role["Z"]
+    (b, a), z = _operands(circuit), circuit._roles[1]["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -50,8 +49,7 @@ def adder_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Adder steps 1-3: b_i <- b_i^a_i, a_i <- a_i^c_i (i>=1), Z <- z ^ c_n."""
-    by_role = circuit.wires_by_role()
-    (b, a), z = _operands(by_role), by_role["Z"]
+    (b, a), z = _operands(circuit), circuit._roles[1]["Z"]
     n = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -71,9 +69,7 @@ def first_half_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block p/g map: B_i <- a_i^b_i, A_i <- a_i^c_i^prefix_i, G <- c_w, P <- prefix_w."""
-    by_role = circuit.wires_by_role()
-    b, a = _operands(by_role)
-    g, p = by_role["G"], by_role["P"]
+    (b, a), g, p = _operands(circuit), circuit._roles[1]["G"], circuit._roles[1]["P"]
     w = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -97,9 +93,8 @@ def init_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Block sum: B_j <- a_j ^ b_j ^ d_j with d_0 the carry-in wire (or 0)."""
-    by_role = circuit.wires_by_role()
-    b, a = _operands(by_role)
-    carry_wire = by_role.get("C")
+    b, a = _operands(circuit)
+    carry_wire = circuit._roles[1].get("C")
     w = len(b)
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
@@ -116,10 +111,9 @@ def sum_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
 
 def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     """Prefix generate fold: out g_j = g_j ^ (prefix_{j-1} & p_j)."""
-    by_role = circuit.wires_by_role()
-    g = _register_wires(by_role, "G")
+    g = _register(circuit, "G")
     m = len(g)
-    p = [None, *_register_wires(by_role, "P", 1)]
+    p = [None, *_register(circuit, "P", 1)]
     if len(p) < m:
         raise KeyError(f"P{len(p)}")
 
@@ -145,7 +139,7 @@ def fanout_oracle(
     targets = _fanout_request(source, targets)
     top = max(source, *targets)
     if top >= circuit.wire_count:
-        raise ValueError(f"wire {top} out of range for {circuit.wire_count} wires")
+        raise ValueError(f"wire {_shown(top)} out of range for {circuit.wire_count} wires")
 
     def packed(cols: list[int], n_cases: int) -> list[int]:
         out = list(cols)

@@ -11,8 +11,7 @@ spans more than 3 adjacent positions.
 from __future__ import annotations
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx,
-    _register_labels,
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx
 )
 
 
@@ -100,12 +99,10 @@ def ripple_wires(n: int) -> tuple[list[int], list[int], int]:
     return [2 * i for i in range(n)], [2 * i + 1 for i in range(n)], 2 * n
 
 
-def ripple_roles(n: int) -> dict[int, str]:
+def ripple_roles(n: int) -> tuple[dict, dict]:
+    """The roles of ``synth_ripple(n)``: registers B and A, and Z."""
     b, a, z = ripple_wires(n)
-    roles = _register_labels("B", b)
-    roles.update(_register_labels("A", a))
-    roles[z] = "Z"
-    return roles
+    return {"B": dict(enumerate(b)), "A": dict(enumerate(a))}, {"Z": z}
 
 
 @_collector_paused
@@ -118,21 +115,22 @@ def synth_ripple(n: int) -> Circuit:
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:
-    """Line layout B_0 A_0 B_1 A_1 ... Z from the circuit's role map.
+    """Line layout B_0 A_0 B_1 A_1 ... Z from the circuit's registers.
 
     Only defined for circuits whose wires are exactly the B_i/A_i registers
-    plus Z (the ripple adder).  Each label's position is its wire in
-    ``ripple_roles``, the numbering ``synth_ripple`` uses: position(B_i)=2i,
+    plus Z (the ripple adder).  Each role's position is its wire in
+    ``ripple_wires``, the numbering ``synth_ripple`` uses: position(B_i)=2i,
     position(A_i)=2i+1, position(Z)=2n.
     """
-    by_role = circuit.wires_by_role()
-    if not by_role or "Z" not in by_role:
+    if "Z" not in circuit._roles[1]:
         raise ValueError("circuit has no B/A/Z role map")
     n = (circuit.wire_count - 1) // 2
     if circuit.wire_count != 2 * n + 1:
         raise ValueError("interleaved layout needs 2n+1 wires")
-    labels = ripple_roles(n)
+    b, a = (circuit._roles[0].get(prefix, {}) for prefix in "BA")
     try:
-        return {by_role[labels[pos]]: pos for pos in range(2 * n + 1)}
-    except KeyError as exc:
-        raise ValueError(f"circuit has no role label {exc.args[0]}") from None
+        layout = {(a if pos & 1 else b)[pos >> 1]: pos for pos in range(2 * n)}
+    except KeyError as exc:  # the first index missing in position order, B_i before A_i
+        i = exc.args[0]
+        raise ValueError(f"circuit has no role label {'A' if i in b else 'B'}{i}") from None
+    return layout | {circuit._roles[1]["Z"]: 2 * n}

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind, _check_size, _check_wires
+from .circuit import Circuit, Gate, GateKind, _check_size, _check_wires, _shown
 
 #: One classical bit per wire.
 BitState = list[int]
@@ -445,7 +445,7 @@ def _resolve_free(circuit: Circuit, free_wires: Iterable[int] | None) -> list[in
     free = sorted(_check_wires(free_wires))
     for w in free:
         if w >= circuit.wire_count:
-            raise ValueError(f"free wire {w} out of range")
+            raise ValueError(f"free wire {_shown(w)} out of range")
         if w in circuit.ancilla:
             raise ValueError(f"ancilla wire {w} cannot be enumerated")
     return free

@@ -97,7 +97,7 @@ def test_wire_count_rule_checks_the_wire_cap(wire_count):
 
 def test_adopt_accepts_the_largest_in_range_wire():
     _check_wire_count(WIRE_CAP)
-    c = Circuit._adopt(WIRE_CAP, (), {}, [cx(0, WIRE_CAP - 1)])
+    c = Circuit._adopt(WIRE_CAP, (), ({}, {}), [cx(0, WIRE_CAP - 1)])
     assert c == Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)])
 
 

@@ -56,3 +56,15 @@ def test_header_line_errors(text, line, column, reason):
 def test_an_empty_ancilla_line_declares_no_ancilla():
     assert parse_netlist("qadd 1\nqubits 2\nancilla\ncx 0 1\n").ancilla == frozenset()
     assert parse_netlist("qadd 1\nqubits 2\ncx 0 1\n").ancilla == frozenset()
+
+
+def test_a_comment_is_a_lone_hash_token_after_the_qubits_line_too():
+    # "# text" is a comment wherever it stands; "#text" is one token, which
+    # names no opcode.
+    text = "qadd 1\nqubits 2\n# a comment\n#\nancilla\n# role 0 B0\n# x\ncx 0 1\n# end\n"
+    assert parse_netlist(text) == parse_netlist("qadd 1\nqubits 2\n# role 0 B0\ncx 0 1\n")
+    for glued in ("#comment", "#role 0 B0", "#x 0"):
+        with pytest.raises(NetlistError) as err:
+            parse_netlist(f"qadd 1\nqubits 2\n{glued}\ncx 0 1\n")
+        head = glued.split()[0]
+        assert str(err.value) == f"line 3, col 1: unknown opcode {head!r}"

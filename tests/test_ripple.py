@@ -164,7 +164,7 @@ def test_interleaved_layout_places_each_label_where_synth_ripple_puts_it():
 
     n = 5
     wires = list(range(2 * n + 1))[::-1]
-    c = Circuit(2 * n + 1, role_map={wires[w]: label for w, label in ripple_roles(n).items()})
+    c = Circuit(2 * n + 1, role_map={wires[w]: label for w, label in synth_ripple(n).role_map.items()})
     assert interleaved_layout(c) == {wires[w]: w for w in range(2 * n + 1)}
     for n in (1, 2, 3, 64):
         assert interleaved_layout(synth_ripple(n)) == {w: w for w in range(2 * n + 1)}

@@ -13,11 +13,14 @@ combined adder used to re-check every block's wires, 3m times a build.
 """
 
 import re
+import sys
 
 import pytest
 
 from qadd import (
     BlockParams,
+    Circuit,
+    cx,
     adder_first_half_gates,
     carry_gates,
     carry_tree_scratch_count,
@@ -33,13 +36,14 @@ from qadd import (
     synth_init,
     synth_ripple,
     synth_sum,
+    verify_exhaustive,
     verify_random,
 )
 from qadd.estimator import fanout_adder_cost, gcla_cost, shor_dlog_estimate, tt_cost
 from qadd import blocked, fanout, ripple
-from qadd.circuit import _check_wires
+from qadd.circuit import _check_size, _check_wires
 from qadd.fanout import fanout_tree_gates
-from qadd.oracles import adder_oracle
+from qadd.oracles import adder_oracle, fanout_oracle
 from qadd.sim import run_packed
 
 BAD_SIZES = [True, 2.0, 2.5, "2", None]
@@ -107,6 +111,45 @@ def test_sizes_below_the_least_value_name_it():
         fanout_adder_cost(16, 0, 2)
     with pytest.raises(ValueError, match=r"need an int n >= 4, got 3$"):
         shor_dlog_estimate(3)
+
+
+HUGE = 10**5000  # more decimal digits than Python converts to text by default
+HUGE_ID, NEGATIVE_ID = "<int of 16610 bits>", "<negative int of 16610 bits>"
+BLOCKS = "block count must be a power of two >= 4, got"
+CAP, RANGE = "is not an int from 1 to the cap 4194304", "out of range for 2 wires"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _check_size("n", -HUGE, 1), f"need an int n >= 1, got {NEGATIVE_ID}"),
+        (lambda: synth_ripple(-HUGE), f"need an int n >= 1, got {NEGATIVE_ID}"),
+        (lambda: synth_carry(16, HUGE), f"{BLOCKS} 16 / 2**{HUGE_ID}"),
+        (lambda: BlockParams(3 * HUGE, 2), f"{BLOCKS} <int of 16612 bits> / 2**1"),
+        (lambda: synth_ripple(HUGE), f"wire count <int of 16611 bits> {CAP}"),
+        (lambda: Circuit(2, gates=[cx(0, HUGE)]), f"gate operand {HUGE_ID} {RANGE}"),
+        (lambda: Circuit(2, [HUGE]), f"ancilla wire {HUGE_ID} {RANGE}"),
+        (lambda: Circuit(2, role_map={HUGE: "Z"}), f"role wire {HUGE_ID} {RANGE}"),
+        (lambda: cx(0, -HUGE), f"negative wire id {NEGATIVE_ID}"),
+        (lambda: fanout_oracle(RIPPLE_2, 0, [HUGE]), f"wire {HUGE_ID} out of range for 5 wires"),
+        (lambda: verify_exhaustive(RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, free_wires=[HUGE]),
+         f"free wire {HUGE_ID} out of range"),
+    ],
+    ids=[
+        "size", "synth_ripple-negative", "synth_carry-level", "BlockParams-n", "synth_ripple-cap",
+        "gate", "ancilla", "role", "negative-wire", "fanout_oracle", "free-wire",
+    ],
+)
+def test_a_number_too_long_to_print_is_refused_by_its_rule(call, message):
+    # The message used to be Python's own "Exceeds the limit (4300 digits)".
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as err:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n_cases", [0, -1])
