@@ -5,17 +5,19 @@ multiplicative constants live in a ``ConstantPack`` (all defaulting to 1).
 The estimates claim formula shape, monotonicity, and dominance over the
 synthesized circuits, never that the constants are tight.  Every size
 parameter (``t``, ``m``, ``n``, ``d``, ``e``, ``f``) follows the package's
-one size rule: an ``int``, not a bool, at least its least value.
+one size rule: an ``int``, not a bool, at least its least value.  An
+estimate too large for a float raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .blocked import BlockParams
-from .circuit import _check_size
+from .circuit import _check_size, _shown
 from .ripple import ripple_closed_forms
 
 #: Committed additive constant for the combined adder's Toffoli-depth bound
@@ -33,7 +35,22 @@ COMBINED_ANCILLA_FACTOR = 3
 def _check_positive(name: str, x: float) -> None:
     # inf and nan would loop forever or compare as neither <= 0 nor > 1
     if not 0 < x < math.inf:
-        raise ValueError(f"{name} needs a positive finite input, got {x}")
+        raise ValueError(f"{name} needs a positive finite input, got {_shown(x)}")
+
+
+def _float_range(formula):
+    """``formula`` with an estimate too large for a float refused as
+    ``ValueError``, like every other rule of an estimate, where Python's
+    int-to-float conversion raises ``OverflowError``."""
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            return formula(*args, **kwargs)
+        except OverflowError:
+            raise ValueError(f"{formula.__name__}: an estimate exceeds the float range") from None
+
+    return checked
 
 
 def log_star(x: float) -> int:
@@ -148,6 +165,7 @@ class CostEstimate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+@_float_range
 def tt_cost(t: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEstimate:
     """Generalized-Toffoli gate built from fan-outs of length at most f.
 
@@ -173,6 +191,7 @@ def tt_cost(t: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEst
     )
 
 
+@_float_range
 def gcla_cost(m: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEstimate:
     """Constant-depth-style generalized carry-lookahead adder on m-bit inputs.
 
@@ -198,6 +217,7 @@ def gcla_cost(m: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostE
     )
 
 
+@_float_range
 def fanout_adder_cost(
     n: int, e: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS
 ) -> CostEstimate:
@@ -251,6 +271,7 @@ def combined_adder_bounds(
     )
 
 
+@_float_range
 def shor_dlog_estimate(
     n: int,
     adder: str = "ripple",

@@ -114,6 +114,8 @@ def carry_fold_oracle(circuit: Circuit) -> tuple[PerCase, Packed]:
     g = _register(circuit, "G")
     m = len(g)
     p = [None, *_register(circuit, "P", 1)]
+    if not g:
+        raise KeyError("G0")
     if len(p) < m:
         raise KeyError(f"P{len(p)}")
 

@@ -94,7 +94,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         ("verify", "--kind", "combined", "--n", "12", "--d", "2"),  # invalid n
         ("nonsense",),
         ("synth", "--kind", "ripple", "--n", "x"),
-        # estimates too large for a float: OverflowError, or an infinite depth
+        # estimates too large for a float, or with an infinite depth
         ("estimate", "--target", "adder-fanout", "--n", "9" * 400, "--e", "5", "--f", "2"),
         ("estimate", "--target", "adder-fanout", "--n", "64", "--e", "9" * 400, "--f", "2"),
         ("estimate", "--target", "shor-dlog", "--n", "9" * 400),

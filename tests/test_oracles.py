@@ -235,6 +235,14 @@ def test_carry_fold_oracle_names_a_missing_top_propagate():
         carry_fold_oracle(Circuit(len(labels), role_map=dict(enumerate(labels))))
 
 
+@pytest.mark.parametrize("labels", [[], ["P1"], ["G1", "P1"]], ids=["none", "p-only", "no-g0"])
+def test_carry_fold_oracle_needs_a_generate_register(labels):
+    # With no G0 the factory used to succeed, and its packed oracle raised
+    # IndexError at the first call.
+    with pytest.raises(KeyError, match="G0"):
+        carry_fold_oracle(Circuit(len(labels) + 2, role_map=dict(enumerate(labels))))
+
+
 @pytest.mark.parametrize(
     "source,targets,message",
     [

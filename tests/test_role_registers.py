@@ -81,6 +81,8 @@ def reference_roles(circuit, factory):
     if factory is carry_fold_oracle:
         g = reference_register(by_role, "G")
         p = reference_register(by_role, "P", 1)
+        if not g:
+            raise KeyError("G0")
         if len(p) + 1 < len(g):
             raise KeyError(f"P{len(p) + 1}")
         return {**{w: f"G{j}" for j, w in enumerate(g)}, **{w: f"P{i}" for i, w in enumerate(p, 1)}}

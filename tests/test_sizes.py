@@ -39,7 +39,14 @@ from qadd import (
     verify_exhaustive,
     verify_random,
 )
-from qadd.estimator import fanout_adder_cost, gcla_cost, shor_dlog_estimate, tt_cost
+from qadd.estimator import (
+    fanout_adder_cost,
+    gcla_cost,
+    log_star,
+    log_star_star,
+    shor_dlog_estimate,
+    tt_cost,
+)
 from qadd import blocked, fanout, ripple
 from qadd.circuit import _check_size, _check_wires
 from qadd.fanout import fanout_tree_gates
@@ -134,10 +141,14 @@ CAP, RANGE = "is not an int from 1 to the cap 4194304", "out of range for 2 wire
         (lambda: fanout_oracle(RIPPLE_2, 0, [HUGE]), f"wire {HUGE_ID} out of range for 5 wires"),
         (lambda: verify_exhaustive(RIPPLE_2, packed_oracle=RIPPLE_2_ORACLE, free_wires=[HUGE]),
          f"free wire {HUGE_ID} out of range"),
+        (lambda: log_star(-HUGE), f"log_star needs a positive finite input, got {NEGATIVE_ID}"),
+        (lambda: log_star_star(-HUGE),
+         f"log_star_star needs a positive finite input, got {NEGATIVE_ID}"),
     ],
     ids=[
         "size", "synth_ripple-negative", "synth_carry-level", "BlockParams-n", "synth_ripple-cap",
         "gate", "ancilla", "role", "negative-wire", "fanout_oracle", "free-wire",
+        "log_star", "log_star_star",
     ],
 )
 def test_a_number_too_long_to_print_is_refused_by_its_rule(call, message):
@@ -150,6 +161,25 @@ def test_a_number_too_long_to_print_is_refused_by_its_rule(call, message):
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("tt_cost", lambda: tt_cost(HUGE, 2)),
+        ("gcla_cost", lambda: gcla_cost(HUGE, 2)),
+        ("fanout_adder_cost", lambda: fanout_adder_cost(16, HUGE, 2)),
+        ("fanout_adder_cost", lambda: fanout_adder_cost(10**400, 6, 2)),
+        ("shor_dlog_estimate", lambda: shor_dlog_estimate(HUGE)),
+        ("shor_dlog_estimate", lambda: shor_dlog_estimate(10**200, "fanout", e=6, f=2)),
+    ],
+    ids=["tt_cost", "gcla_cost", "fanout-e", "fanout-n", "shor_dlog", "shor_dlog-fanout"],
+)
+def test_an_estimate_too_large_for_a_float_is_refused(name, call):
+    # These used to raise OverflowError from Python's int-to-float conversion.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"{name}: an estimate exceeds the float range"
 
 
 @pytest.mark.parametrize("n_cases", [0, -1])
