@@ -28,7 +28,9 @@ from .circuit import (
     Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x,
     _shown,
 )
-from .ripple import _check_registers, _first_half, ripple_roles, ripple_wires
+from .ripple import (
+    _check_registers, _families, _first_half, _steps_1_to_3, _unwind, ripple_roles, ripple_wires
+)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
     pre-pollutes each scratch wire with its neighbour's dirt, a CNOT seeds
     the first prefix, and an ascending sweep deposits clean prefixes while
     cancelling the pollution.  Uses 2w-2 Toffoli gates and one CNOT for
-    w = len(conjuncts) >= 2 conjuncts.
+    w = len(conjuncts) >= 2 conjuncts.  An equal gate at several positions
+    may be one object.
     """
     w = len(conjuncts)
     if w < 2 or len(scratch) != w - 1:
@@ -76,16 +79,15 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
     return _ladder(conjuncts, scratch, target)
 
 
-def _ladder(conjuncts: list[int], scratch: list[int], target: int) -> list[Gate]:
-    w = len(conjuncts)
-    gates: list[Gate] = [_ccx(conjuncts[w - 1], scratch[w - 2], target)]
-    for j in range(w - 1, 1, -1):
-        gates.append(_ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
-    gates.append(_cx(conjuncts[0], scratch[0]))
-    for j in range(2, w):
-        gates.append(_ccx(conjuncts[j - 1], scratch[j - 2], scratch[j - 1]))
-    gates.append(_ccx(conjuncts[w - 1], scratch[w - 2], target))
-    return gates
+def _ladder(
+    conjuncts: list[int], scratch: list[int], target: int, sweep: list[Gate] | None = None
+) -> list[Gate]:
+    """The ladder on checked wires; ``sweep``, when given, is its ascending
+    Toffoli sweep, built already."""
+    if sweep is None:
+        sweep = list(map(_ccx, conjuncts[1:], scratch, scratch[1:]))
+    top = _ccx(conjuncts[-1], scratch[-1], target)
+    return [top, *sweep[::-1], _cx(conjuncts[0], scratch[0]), *sweep, top]
 
 
 def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
@@ -95,17 +97,18 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
     propagate a_i ^ b_i, a_0 unchanged, a_i (i >= 1) holding
     a_i ^ c_i ^ prefix-propagate(i), and XORs the block generate into g and
     the block propagate into p.  3w-2 Toffoli gates: w from the adder first
-    half, 2w-2 from the prefix-AND ladder.
+    half, 2w-2 from the prefix-AND ladder, whose ascending sweep is the first
+    half's Toffolis again.  An equal gate at several positions may be one
+    object.
     """
     _check_registers(b, a, 2, g, p)
     return _init(b, a, g, p)
 
 
 def _init(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
-    gates = _first_half(b, a, g)
-    gates.append(_cx(a[0], b[0]))
-    gates += _ladder(b, a[1:], p)
-    return gates
+    fold, chain, tof = _families(b, [*a, g], 1)
+    # the ladder's ascending sweep is the first half's ccx(b_i, a_i, a_{i+1}), 0 < i < w-1
+    return _steps_1_to_3(fold, chain, tof) + [_cx(a[0], b[0])] + _ladder(b, a[1:], p, tof[1:-1])
 
 
 def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate]:
@@ -114,33 +117,20 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
     ``d_0`` is the carry wire's value (0 when ``carry`` is None, the
     simplified form used on the lowest block) and d_{j+1} = MAJ(a_j, b_j, d_j).
     The carry wire and the a register are unchanged.  2w-2 Toffoli gates
-    for width w >= 1.
+    for width w >= 1.  An equal gate at several positions may be one object.
     """
     _check_registers(b, a, 1, *(() if carry is None else (carry,)))
     return _sum(b, a, carry)
 
 
 def _sum(b: list[int], a: list[int], carry: int | None) -> list[Gate]:
-    w = len(b)
-    gates: list[Gate] = []
-    gates += [_cx(a[i], b[i]) for i in range(w)]
-    gates += [_cx(a[i], a[i + 1]) for i in range(w - 2, -1, -1)]
+    fold, chain, tof = _families(b, a, 0)
     # the carry CNOTs onto a0 bracket the Toffolis; at w = 1 there are none,
     # and the pair would cancel
-    carry_into_a0 = carry is not None and w > 1
-    if carry_into_a0:
-        gates.append(_cx(carry, a[0]))
-    gates += [_ccx(b[i], a[i], a[i + 1]) for i in range(w - 1)]
-    for i in range(w - 1, 0, -1):
-        gates.append(_cx(a[i], b[i]))
-        gates.append(_ccx(b[i - 1], a[i - 1], a[i]))
-    if carry_into_a0:
-        gates.append(_cx(carry, a[0]))
-    if carry is not None:
-        gates.append(_cx(carry, b[0]))
-    gates += [_cx(a[i], a[i + 1]) for i in range(w - 1)]
-    gates += [_cx(a[i], b[i]) for i in range(1, w)]
-    return gates
+    bracket = [_cx(carry, a[0])] if carry is not None and len(b) > 1 else []
+    carry_in = [] if carry is None else [_cx(carry, b[0])]
+    unwind = _unwind(fold, tof)
+    return fold + chain[::-1] + bracket + tof + unwind + bracket + carry_in + chain + fold[1:]
 
 
 def carry_gates(

@@ -114,6 +114,9 @@ class Gate(tuple):
 # planned below that wire count, and picks no id of its own: the carry tree
 # takes its scratch list like any other.  Each emits only gates of the
 # right shape and hands them to ``Circuit._adopt``, which checks nothing.
+# Where a body's steps repeat a gate, it repeats one object, so an equal gate
+# at several positions may be one object; a gate is an immutable tuple, so
+# that is safe.
 # ``parse_netlist`` builds and adopts its gates the same way, after checking
 # each gate line where it stands.  Everything else goes through ``Gate(...)``
 # and the per-gate checks of ``Circuit``.

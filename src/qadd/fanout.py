@@ -68,6 +68,10 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     2*ceil((t-1)/(f-1)) + 1; f = 1 falls back to a depth-t CNOT chain.
     The circuit is its own inverse.
     """
+    targets = tuple(targets)
+    # t distinct non-negative targets and a source need at least t + 1 wires,
+    # so an over-cap request is refused before its ids are checked
+    _check_wire_count(len(targets) + 1)
     targets = _fanout_request(source, targets)
     _check_size("f", f, 1)
     wire_count = _check_wire_count(max(source, *targets) + 1)

@@ -30,17 +30,35 @@ def _check_registers(b: list[int], a: list[int], least: int, *extra: int) -> Non
     _check_wires(b, a, extra)
 
 
+def _families(b: list[int], aa: list[int], lo: int) -> tuple[list[Gate], ...]:
+    """The adder's three gate families on wires the caller has checked, each
+    gate built once, so the steps that repeat a gate repeat one object: the
+    fold cx(aa_i, b_i), the chain cx(aa_i, aa_{i+1}) for i >= lo and the
+    Toffolis ccx(b_i, aa_i, aa_{i+1}).  ``aa`` is the a register, followed in
+    the ripple adder by its carry-out wire."""
+    fold = list(map(_cx, aa, b))
+    return fold, list(map(_cx, aa[lo:], aa[lo + 1 :])), list(map(_ccx, b, aa, aa[1:]))
+
+
+def _steps_1_to_3(fold: list[Gate], chain: list[Gate], tof: list[Gate]) -> list[Gate]:
+    # step 1: fold a into b (bit 0 excluded; its carry-in is 0); step 2: the
+    # downward chain prepares a_i ^ a_{i-1}; step 3: the upward Toffolis turn
+    # those into a_i ^ c_i
+    return fold[1:] + chain[::-1] + tof
+
+
+def _unwind(fold: list[Gate], tof: list[Gate]) -> list[Gate]:
+    """fold[i] then tof[i-1] for i from len(fold)-1 down to 1: the carries
+    fold into b while the carry chain unwinds."""
+    gates = fold[1:] * 2
+    gates[::2] = tof[: len(fold) - 1]
+    gates[1::2] = fold[1:]
+    return gates[::-1]
+
+
 def _first_half(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
     """Steps 1-3 of the ripple adder on wires the caller has checked."""
-    n = len(b)
-    aa = list(a) + [carry_out]  # aa[n] holds the carry-out wire
-    # step 1: fold a into b (bit 0 excluded; its carry-in is 0)
-    gates = [_cx(aa[i], b[i]) for i in range(1, n)]
-    # step 2: downward CNOT chain prepares a_i ^ a_{i-1}
-    gates += [_cx(aa[i], aa[i + 1]) for i in range(n - 1, 0, -1)]
-    # step 3: upward Toffoli chain turns those into a_i ^ c_i
-    gates += [_ccx(b[i], aa[i], aa[i + 1]) for i in range(n)]
-    return gates
+    return _steps_1_to_3(*_families(b, [*a, carry_out], 1))
 
 
 def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
@@ -48,25 +66,17 @@ def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
 
     ``b[i]``/``a[i]`` are the input registers (bit i), ``z`` receives the
     high carry.  For n in {1, 2} some steps have empty ranges; the circuit
-    is still a correct adder there.
+    is still a correct adder there.  Each of the 3n - 1 distinct gates is
+    built once, so an equal gate at several positions may be one object.
     """
     _check_registers(b, a, 1, z)
     return _ripple_add(b, a, z)
 
 
 def _ripple_add(b: list[int], a: list[int], z: int) -> list[Gate]:
-    n = len(b)
-    aa = list(a) + [z]  # aa[n] holds z
-    gates = _first_half(b, a, z)
-    # step 4: fold carries into b while unwinding the carry chain
-    for i in range(n - 1, 0, -1):
-        gates.append(_cx(aa[i], b[i]))
-        gates.append(_ccx(b[i - 1], aa[i - 1], aa[i]))
-    # step 5: undo the step-2 chain
-    gates += [_cx(aa[i], aa[i + 1]) for i in range(1, n - 1)]
-    # step 6: b_i ^ a_i ^ c_i = s_i
-    gates += [_cx(aa[i], b[i]) for i in range(n)]
-    return gates
+    fold, chain, tof = _families(b, [*a, z], 1)
+    # step 4: unwind; step 5: undo the step-2 chain; step 6: b_i ^ a_i ^ c_i = s_i
+    return _steps_1_to_3(fold, chain, tof) + _unwind(fold, tof) + chain[:-1] + fold
 
 
 def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
@@ -75,7 +85,7 @@ def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[G
     Starting from (b, a) with ``carry_out`` expected to hold 0, leaves
     b_0, a_0 unchanged, b_i <- b_i ^ a_i, a_i <- a_i ^ c_i for i >= 1, and
     XORs the full carry c_n into ``carry_out``.  Contains exactly n
-    Toffoli gates.
+    Toffoli gates.  An equal gate at several positions may be one object.
     """
     _check_registers(b, a, 1, carry_out)
     return _first_half(b, a, carry_out)
