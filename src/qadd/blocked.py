@@ -28,9 +28,7 @@ from .circuit import (
     Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x,
     _shown,
 )
-from .ripple import (
-    _check_registers, _families, _first_half, _steps_1_to_3, _unwind, ripple_roles, ripple_wires
-)
+from .ripple import _check_registers, _families, _steps_1_to_3, _unwind, ripple_roles, ripple_wires
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,17 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
 
 
 def _init(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
-    fold, chain, tof = _families(b, [*a, g], 1)
-    # the ladder's ascending sweep is the first half's ccx(b_i, a_i, a_{i+1}), 0 < i < w-1
-    return _steps_1_to_3(fold, chain, tof) + [_cx(a[0], b[0])] + _ladder(b, a[1:], p, tof[1:-1])
+    return _init_body(*_families(b, a, [g]), b, a, p)
+
+
+def _init_body(
+    fold: list[Gate], chain: list[Gate], tof: list[Gate], b: list[int], a: list[int], p: int
+) -> list[Gate]:
+    """INIT from the block's families (``_families``, with the generate slot as
+    the top bit's next wire) and its wires."""
+    # cx(a0, b0) is fold[0]; the ladder's ascending sweep is the first half's
+    # ccx(b_i, a_i, a_{i+1}), 0 < i < w-1
+    return _steps_1_to_3(fold, chain, tof) + fold[:1] + _ladder(b, a[1:], p, tof[1:-1])
 
 
 def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate]:
@@ -124,10 +130,20 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
 
 
 def _sum(b: list[int], a: list[int], carry: int | None) -> list[Gate]:
-    fold, chain, tof = _families(b, a, 0)
+    return _sum_body(*_families(b, a, []), b, a, carry)
+
+
+def _sum_body(
+    fold: list[Gate], chain: list[Gate], tof: list[Gate], b: list[int], a: list[int],
+    carry: int | None,
+) -> list[Gate]:
+    """SUM from the block's families, of which it reads the chain and the
+    Toffolis below the top bit, and its wires."""
+    w = len(fold)
+    chain, tof = chain[: w - 1], tof[: w - 1]
     # the carry CNOTs onto a0 bracket the Toffolis; at w = 1 there are none,
     # and the pair would cancel
-    bracket = [_cx(carry, a[0])] if carry is not None and len(b) > 1 else []
+    bracket = [_cx(carry, a[0])] if carry is not None and w > 1 else []
     carry_in = [] if carry is None else [_cx(carry, b[0])]
     unwind = _unwind(fold, tof)
     return fold + chain[::-1] + bracket + tof + unwind + bracket + carry_in + chain + fold[1:]
@@ -286,6 +302,7 @@ def synth_carry(n: int, l: int) -> Circuit:
     return Circuit._adopt(wire_count, scratch, (registers, {}), gates)
 
 
+@_collector_paused
 def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     """The seven sections of the combined adder as named gate lists.
 
@@ -304,10 +321,15 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     b, a, _ = ripple_wires(n)
     g_slots = plan["g_slots"] + [plan["z"]]
     p_slots = plan["p_slots"]
-    regs = [(b[j * k : (j + 1) * k], a[j * k : (j + 1) * k]) for j in range(m)]
+    # each family is built once over all n bits, with the carry slots as the
+    # block tops' next wires; each block's init and sum read its slices of
+    # the families and of the wires
+    fold, chain, tof = _families(b, a, g_slots)
+    cuts = [slice(j * k, (j + 1) * k) for j in range(m)]
+    per_block = [(fold[cut], chain[cut], tof[cut], b[cut], a[cut]) for cut in cuts]
 
-    blocks = [_first_half(*regs[0], g_slots[0])]
-    blocks += [_init(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
+    blocks = [_steps_1_to_3(*per_block[0][:3])]
+    blocks += [_init_body(*per_block[j], p_slots[j - 1]) for j in range(1, m)]
     step1 = [gate for block in blocks for gate in block]
 
     carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
@@ -328,7 +350,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # b commute with it
     step4: list[Gate] = []
     for j in range(m):
-        s = _sum(*regs[j], g_slots[j - 1] if j else None)
+        s = _sum_body(*per_block[j], g_slots[j - 1] if j else None)
         end = len(s) if j == m - 1 else len(s) - (frame - 1)
         step4 += s[:1] + s[frame:end]
 

@@ -13,7 +13,7 @@ import functools
 import gc
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -116,7 +116,10 @@ class Gate(tuple):
 # right shape and hands them to ``Circuit._adopt``, which checks nothing.
 # Where a body's steps repeat a gate, it repeats one object, so an equal gate
 # at several positions may be one object; a gate is an immutable tuple, so
-# that is safe.
+# that is safe.  The same holds one level down: ``_cxs`` and ``_ccxs`` build a
+# whole gate family in one pass with no Python call per gate, from operand
+# tuples the caller builds once per register, so gates that read one wire
+# may share its one-wire tuple.
 # ``parse_netlist`` builds and adopts its gates the same way, after checking
 # each gate line where it stands.  Everything else goes through ``Gate(...)``
 # and the per-gate checks of ``Circuit``.
@@ -138,6 +141,16 @@ def _ccx(c1: int, c2: int, target: int) -> Gate:
 
 def _fo(source: int, targets: tuple[int, ...]) -> Gate:
     return _new(Gate, (_FANOUT, (source,), targets))
+
+
+def _cxs(controls: Iterable[tuple[int]], targets: Iterable[tuple[int]]) -> list[Gate]:
+    """One CNOT per pair of one-wire control and target tuples."""
+    return list(map(_new, repeat(Gate), zip(repeat(_CNOT), controls, targets)))
+
+
+def _ccxs(controls: Iterable[tuple[int, int]], targets: Iterable[tuple[int]]) -> list[Gate]:
+    """One Toffoli per pair of two-wire control and one-wire target tuples."""
+    return list(map(_new, repeat(Gate), zip(repeat(_TOFFOLI), controls, targets)))
 
 
 def _collector_paused(build):

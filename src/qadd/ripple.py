@@ -11,7 +11,8 @@ spans more than 3 adjacent positions.
 from __future__ import annotations
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx
+    Circuit, Gate, _ccx, _ccxs, _check_size, _check_wire_count, _check_wires, _collector_paused,
+    _cx, _cxs,
 )
 
 
@@ -30,21 +31,33 @@ def _check_registers(b: list[int], a: list[int], least: int, *extra: int) -> Non
     _check_wires(b, a, extra)
 
 
-def _families(b: list[int], aa: list[int], lo: int) -> tuple[list[Gate], ...]:
-    """The adder's three gate families on wires the caller has checked, each
-    gate built once, so the steps that repeat a gate repeat one object: the
-    fold cx(aa_i, b_i), the chain cx(aa_i, aa_{i+1}) for i >= lo and the
-    Toffolis ccx(b_i, aa_i, aa_{i+1}).  ``aa`` is the a register, followed in
-    the ripple adder by its carry-out wire."""
-    fold = list(map(_cx, aa, b))
-    return fold, list(map(_cx, aa[lo:], aa[lo + 1 :])), list(map(_ccx, b, aa, aa[1:]))
+def _families(b: list[int], a: list[int], tops: list[int]) -> tuple[list[Gate], ...]:
+    """The adder's three gate families over the bits of b and a, on wires the
+    caller has checked: the fold cx(a_i, b_i), the chain cx(a_i, a'_i) and the
+    Toffolis ccx(b_i, a_i, a'_i).  The bit's next wire a'_i is a_{i+1}, except
+    on the top bit of each of the len(tops) blocks of equal width that the
+    registers split into, where it is that block's entry in ``tops`` (the
+    carry-out or a carry slot).  With no tops, the top bit has no next wire,
+    and the chain and the Toffolis stop below it.
+
+    Each gate is built once, so the steps that repeat a gate repeat one
+    object, and each wire's one-wire operand tuple is built once, from one
+    ``zip`` pass per register, so the fold, the chain and the Toffoli targets
+    share them."""
+    bt, at = list(zip(b)), list(zip(a))
+    nt = at[1:]
+    if tops:
+        k = len(b) // len(tops)
+        nt.append(None)
+        nt[k - 1 :: k] = zip(tops)
+    return _cxs(at, bt), _cxs(at, nt), _ccxs(zip(b, a), nt)
 
 
 def _steps_1_to_3(fold: list[Gate], chain: list[Gate], tof: list[Gate]) -> list[Gate]:
     # step 1: fold a into b (bit 0 excluded; its carry-in is 0); step 2: the
-    # downward chain prepares a_i ^ a_{i-1}; step 3: the upward Toffolis turn
-    # those into a_i ^ c_i
-    return fold[1:] + chain[::-1] + tof
+    # downward chain from the top bit to bit 1 prepares a_i ^ a_{i-1}; step 3:
+    # the upward Toffolis turn those into a_i ^ c_i
+    return fold[1:] + chain[:0:-1] + tof
 
 
 def _unwind(fold: list[Gate], tof: list[Gate]) -> list[Gate]:
@@ -58,7 +71,7 @@ def _unwind(fold: list[Gate], tof: list[Gate]) -> list[Gate]:
 
 def _first_half(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
     """Steps 1-3 of the ripple adder on wires the caller has checked."""
-    return _steps_1_to_3(*_families(b, [*a, carry_out], 1))
+    return _steps_1_to_3(*_families(b, a, [carry_out]))
 
 
 def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
@@ -74,9 +87,9 @@ def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
 
 
 def _ripple_add(b: list[int], a: list[int], z: int) -> list[Gate]:
-    fold, chain, tof = _families(b, [*a, z], 1)
+    fold, chain, tof = _families(b, a, [z])
     # step 4: unwind; step 5: undo the step-2 chain; step 6: b_i ^ a_i ^ c_i = s_i
-    return _steps_1_to_3(fold, chain, tof) + _unwind(fold, tof) + chain[:-1] + fold
+    return _steps_1_to_3(fold, chain, tof) + _unwind(fold, tof) + chain[1:-1] + fold
 
 
 def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[Gate]:

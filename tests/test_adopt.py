@@ -188,6 +188,12 @@ def test_bulk_builders_restore_the_collector_state(enabled):
         with pytest.raises(NetlistError):
             parse_netlist(BAD_NETLIST)
         assert gc.isenabled() is enabled
+        combined_step_gates(BlockParams(64, 4))
+        assert gc.isenabled() is enabled
+        # refused by the wire cap before any gate is built
+        with pytest.raises(ValueError, match="wire count"):
+            combined_step_gates(BlockParams(1 << 22, 2))
+        assert gc.isenabled() is enabled
     finally:
         _set_collector(was_enabled)
 
@@ -220,6 +226,7 @@ def test_no_collection_runs_inside_a_bulk_build():
         for build in (
             lambda: synth_ripple(1024),
             lambda: synth_combined(BlockParams(1024, 4)),
+            lambda: combined_step_gates(BlockParams(1024, 4)),
             lambda: parse_netlist(text),
         ):
             assert _collections_during(build) <= 1

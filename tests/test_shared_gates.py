@@ -4,17 +4,39 @@ The ripple adder, the block sum, the prefix-AND ladder and INIT repeat
 gates across their steps, and the builders repeat one object where a step
 repeats a gate.  The references below are the step-by-step loops the
 builders used when each position built its own gate; the builders must
-give equal lists on any checked wire registers.  ``GRID_SHA256`` in
-``test_role_registers.py`` pins the netlists on canonical wire ids only.
+give equal lists on any checked wire registers.  The combined adder builds
+its gate families once over all n bits and lets each block slice them; its
+reference builds each block's INIT and SUM from the block's own wires.
+``GRID_SHA256`` in ``test_role_registers.py`` pins the netlists on
+canonical wire ids only.
 """
+
+import functools
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadd import BlockParams, ccx, cx, synth_combined, synth_ripple, synth_sum
-from qadd.blocked import init_gates, prefix_and_ladder_gates, sum_gates
-from qadd.ripple import adder_first_half_gates, ripple_add_gates
+from qadd import (
+    BlockParams,
+    ccx,
+    combined_step_gates,
+    cx,
+    synth_combined,
+    synth_ripple,
+    synth_sum,
+    x,
+)
+from qadd.blocked import (
+    carry_gates,
+    combined_wire_plan,
+    init_gates,
+    prefix_and_ladder_gates,
+    sum_gates,
+)
+from qadd.ripple import adder_first_half_gates, ripple_add_gates, ripple_wires
+from test_gate import _valid_depths
 
 
 def reference_first_half(b, a, carry_out):
@@ -74,8 +96,72 @@ def reference_sum(b, a, carry):
     return gates
 
 
+@functools.lru_cache(maxsize=None)
+def reference_combined_sections(n, k):
+    """The combined adder's sections, each block's INIT and SUM built on its
+    own wires and sliced, as before the blocks shared one family per register."""
+    params = BlockParams(n, k)
+    m = params.blocks
+    plan = combined_wire_plan(params)
+    b, a, _ = ripple_wires(n)
+    g_slots = plan["g_slots"] + [plan["z"]]
+    p_slots = plan["p_slots"]
+    regs = [(b[j * k : (j + 1) * k], a[j * k : (j + 1) * k]) for j in range(m)]
+
+    blocks = [adder_first_half_gates(*regs[0], g_slots[0])]
+    blocks += [init_gates(*regs[j], g_slots[j], p_slots[j - 1]) for j in range(1, m)]
+    step1 = [gate for block in blocks for gate in block]
+
+    carry, scratch = carry_gates(g_slots, [None, *p_slots], plan["scratch"][0])
+    assert scratch == plan["scratch"]
+
+    frame = 2 * k - 2
+    carry_slots = set(g_slots)
+    tails = [
+        [g for g in block[frame:] if carry_slots.isdisjoint(g.operands)] for block in blocks
+    ]
+    step3 = [g for tail in reversed(tails) for g in reversed(tail)]
+
+    step4 = []
+    for j in range(m):
+        s = sum_gates(*regs[j], g_slots[j - 1]) if j else sum_gates(*regs[j])
+        end = len(s) if j == m - 1 else len(s) - (frame - 1)
+        step4 += s[:1] + s[frame:end]
+
+    step5 = [x(b[i]) for i in range(n - k)]
+
+    step6 = [g for tail in tails[:-1] for g in tail]
+    zero = {p_slots[-1], *plan["scratch"]}
+    for gate in reversed(carry):
+        if zero.isdisjoint(gate.controls):
+            step6.append(gate)
+            zero.difference_update(gate.targets)
+    step6 += [g for block in reversed(blocks[:-1]) for g in reversed(block)]
+
+    return [
+        ("init", step1),
+        ("carry", carry),
+        ("uncompute-init", step3),
+        ("sum", step4),
+        ("complement", step5),
+        ("unwind", step6),
+        ("uncomplement", list(step5)),
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_distinct_gates(n, k):
+    return len({g for _, gates in reference_combined_sections(n, k) for g in gates})
+
+
 def objects_and_values(gates):
     return len({id(g) for g in gates}), len(set(gates))
+
+
+def one_wire_tuples(gates):
+    """Objects and values among the gates' one-wire control and target tuples."""
+    tuples = [operands for g in gates for operands in g[1:] if len(operands) == 1]
+    return len({id(t) for t in tuples}), len(set(tuples))
 
 
 @st.composite
@@ -113,8 +199,11 @@ def test_builders_match_their_step_by_step_references(regs):
 
 @pytest.mark.parametrize("n", [*range(1, 65), 4095])
 def test_ripple_adder_holds_one_object_per_distinct_gate(n):
+    gates = synth_ripple(n).gates
     # n fold CNOTs, n - 1 chain CNOTs and n Toffolis
-    assert objects_and_values(synth_ripple(n).gates) == (3 * n - 1, 3 * n - 1)
+    assert objects_and_values(gates) == (3 * n - 1, 3 * n - 1)
+    # one operand tuple per wire: B_i, A_i and Z
+    assert one_wire_tuples(gates) == (2 * n + 1, 2 * n + 1)
 
 
 @pytest.mark.parametrize("w", range(1, 41))
@@ -133,6 +222,28 @@ def test_combined_adder_shares_its_repeated_gates():
     gates = synth_combined(BlockParams(4096, 12)).gates
     objects, values = objects_and_values(gates)
     # 88 358 gates, 19 935 distinct; 38 877 objects when each position
-    # built its own gate inside a section
-    assert (len(gates), values) == (88358, 19935)
-    assert objects <= 27620
+    # built its own gate inside a section, 27 620 when each section built its own
+    assert len(gates) == 88358
+    assert objects == values == 19935
+
+
+def _assert_sections_match_the_reference(params):
+    sections = combined_step_gates(params)
+    reference = reference_combined_sections(params.n, params.k)
+    assert [name for name, _ in sections] == [name for name, _ in reference]
+    for (name, gates), (_, expected) in zip(sections, reference):
+        assert gates == expected, (params, name)
+    # across sections too, an equal gate at several positions is one object
+    objects = len(set(map(id, chain.from_iterable(gates for _, gates in sections))))
+    assert objects == reference_distinct_gates(params.n, params.k), params
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_combined_sections_match_the_per_block_reference(n):
+    for d in _valid_depths(n):
+        _assert_sections_match_the_reference(BlockParams(n, d))
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_wide_combined_sections_match_the_per_block_reference(d):
+    _assert_sections_match_the_reference(BlockParams(4096, d))
