@@ -11,13 +11,14 @@ carries as the original operands.  The top block's carry slot is the Z
 wire itself, which is how Z ends up holding z ^ s_n while every declared
 ancilla returns to 0.
 
-The frame of a block is the first 2k-2 gates of its carry computation
-(``ripple._first_half``): the fold b_i ^= a_i for i >= 1 and the chain
-a_{i+1} ^= a_i, whose top CNOT writes the carry slot.  SUM works inside the
-same frame, so the circuit opens it once, in the init section, and closes
-it once: in the sum section on the top block, at the end of the unwind
-section on every other block.  The uncompute-init section, the block sums
-and the complement all run inside it.
+The frame of a block is the first 2k-2 gates of its carry computation,
+steps 1-3 of the ripple adder (``adder_first_half_gates``): the fold
+b_i ^= a_i for i >= 1 and the chain a_{i+1} ^= a_i, whose top CNOT writes
+the carry slot.  SUM works inside the same frame, so the circuit opens it
+once, in the init section, and closes it once: in the sum section on the
+top block, at the end of the unwind section on every other block.  The
+uncompute-init section, the block sums and the complement all run inside
+it.
 """
 
 from __future__ import annotations
@@ -74,16 +75,14 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
     if w < 2 or len(scratch) != w - 1:
         raise ValueError("need w >= 2 conjuncts and w-1 scratch wires")
     _check_wires(conjuncts, scratch, (target,))
-    return _ladder(conjuncts, scratch, target)
+    sweep = list(map(_ccx, conjuncts[1:], scratch, scratch[1:]))
+    return _ladder(conjuncts, scratch, target, sweep)
 
 
-def _ladder(
-    conjuncts: list[int], scratch: list[int], target: int, sweep: list[Gate] | None = None
-) -> list[Gate]:
-    """The ladder on checked wires; ``sweep``, when given, is its ascending
-    Toffoli sweep, built already."""
-    if sweep is None:
-        sweep = list(map(_ccx, conjuncts[1:], scratch, scratch[1:]))
+def _ladder(conjuncts: list[int], scratch: list[int], target: int, sweep: list[Gate]) -> list[Gate]:
+    """The ladder on checked wires around ``sweep``, its ascending Toffoli
+    sweep ccx(conjuncts[j], scratch[j-1], scratch[j]) for 0 < j < w-1, which
+    the caller builds."""
     top = _ccx(conjuncts[-1], scratch[-1], target)
     return [top, *sweep[::-1], _cx(conjuncts[0], scratch[0]), *sweep, top]
 
@@ -277,10 +276,17 @@ def carry_tree_scratch_count(n: int, l: int) -> int:
     count from 4 to 4096), and this is the one place the count is stated:
     ``carry_gates``, ``synth_carry`` and ``combined_wire_plan`` size their
     scratch lists by it, and ``_carry`` builds on the list it is handed.
+
+    The sum is computed in closed form, so an over-cap request is refused
+    in time linear in the bits of n, not quadratic.  With m = n >> (l-1)
+    and s = t - l + 1, the terms are (m >> s) - 1 for 1 <= s < B, where B
+    is the bit length of m; the shifts sum to m - popcount(m) (Legendre),
+    which gives m - popcount(m) - B + 1, and 0 for m = 0, an empty sum.
     """
     _check_size("n", n, 1)
     _check_size("l", l, 1)
-    return sum((n >> t) - 1 for t in range(l, n.bit_length() - 1))
+    m = n >> (l - 1)
+    return m and m - m.bit_count() - m.bit_length() + 1
 
 
 @_collector_paused

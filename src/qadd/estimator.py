@@ -244,6 +244,7 @@ def fanout_adder_cost(
     )
 
 
+@_float_range
 def combined_adder_bounds(
     n: int, d: int, consts: ConstantPack = DEFAULT_CONSTANTS
 ) -> CostEstimate:

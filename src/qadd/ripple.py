@@ -69,11 +69,6 @@ def _unwind(fold: list[Gate], tof: list[Gate]) -> list[Gate]:
     return gates[::-1]
 
 
-def _first_half(b: list[int], a: list[int], carry_out: int) -> list[Gate]:
-    """Steps 1-3 of the ripple adder on wires the caller has checked."""
-    return _steps_1_to_3(*_families(b, a, [carry_out]))
-
-
 def ripple_add_gates(b: list[int], a: list[int], z: int) -> list[Gate]:
     """Gate list for the six-step ripple adder on explicit wires.
 
@@ -101,7 +96,7 @@ def adder_first_half_gates(b: list[int], a: list[int], carry_out: int) -> list[G
     Toffoli gates.  An equal gate at several positions may be one object.
     """
     _check_registers(b, a, 1, carry_out)
-    return _first_half(b, a, carry_out)
+    return _steps_1_to_3(*_families(b, a, [carry_out]))
 
 
 def ripple_closed_forms(n: int) -> dict[str, int]:

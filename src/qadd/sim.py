@@ -27,7 +27,9 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind, _check_size, _check_wires, _shown
+from .circuit import (
+    Circuit, Gate, _CNOT, _FANOUT, _NOT, _TOFFOLI, _check_size, _check_wires, _shown,
+)
 
 #: One classical bit per wire.
 BitState = list[int]
@@ -46,8 +48,8 @@ EXHAUSTIVE_WIRE_CAP = 24
 #: cache.
 _EXHAUSTIVE_CHUNK_CASES = 1 << 16
 
-#: Hard cap on seeded inputs: ``trials * len(free wires)`` bits (2**30 bits,
-#: 128 MiB of input columns).
+#: Hard cap on seeded inputs: ``trials * max(len(free wires), 1)`` bits
+#: (2**30 bits, 128 MiB of input columns).
 RANDOM_INPUT_BIT_CAP = 1 << 30
 
 #: At most this many failing cases are recorded in a report.
@@ -118,14 +120,14 @@ def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[i
     mask = (1 << n_cases) - 1
     cols = list(columns)
     for kind, controls, targets in circuit.gates:
-        if kind is GateKind.CNOT:
+        if kind is _CNOT:
             cols[targets[0]] ^= cols[controls[0]]
-        elif kind is GateKind.TOFFOLI:
+        elif kind is _TOFFOLI:
             c1, c2 = controls
             cols[targets[0]] ^= cols[c1] & cols[c2]
-        elif kind is GateKind.NOT:
+        elif kind is _NOT:
             cols[targets[0]] ^= mask
-        elif kind is GateKind.FANOUT:
+        elif kind is _FANOUT:
             src = cols[controls[0]]
             for t in targets:
                 cols[t] ^= src
@@ -450,9 +452,12 @@ def _check_random_request(trials: int, width: int, seed: int) -> None:
     _check_size("trials", trials, 1)
     if type(seed) is not int:
         raise ValueError(f"seed {seed!r} is not an int")
-    if trials * width > RANDOM_INPUT_BIT_CAP:
+    # the kernel's mask, and every column a NOT touches, is trials bits long,
+    # also in a run with no free wire
+    columns = max(width, 1)
+    if trials * columns > RANDOM_INPUT_BIT_CAP:
         raise ValueError(
-            f"{trials} trials x {width} free wires exceed the seeded input "
+            f"{_shown(trials)} trials x {columns} columns exceed the seeded input "
             f"cap of {RANDOM_INPUT_BIT_CAP} bits"
         )
 
@@ -542,11 +547,11 @@ def verify_random(
     give identical trial sequences and byte-identical reports.  Generating
     them takes time linear in ``trials``, and the extra memory beyond the
     input columns is about three chunks of 2**24 stream bits (at least 64
-    trials each) plus one column.  ``trials * len(free wires)`` is capped
-    at ``RANDOM_INPUT_BIT_CAP``; larger requests raise ``ValueError``.  At
-    the cap, generating the inputs took 6.2-7.3 s and peaked at 158-189 MB
-    RSS for 128 MiB of columns (7, 64 and 2049 free wires, CPython 3.11 on
-    one core of a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
+    trials each) plus one column.  ``trials * len(free wires)``, counting at
+    least one wire, is capped at ``RANDOM_INPUT_BIT_CAP``; larger requests
+    raise ``ValueError``.  At the cap, generating the inputs took 6.2-7.3 s
+    and peaked at 158-189 MB RSS for 128 MiB of columns (7, 64 and 2049
+    free wires, CPython 3.11 on one core of a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
     ``packed_oracle=``.  The free wires, ``trials``, ``seed``, the cap and
     the oracle pair are all checked, in that order, before any input is
     generated.  ``packed_oracle=`` is the fast path; ``verify_exhaustive``

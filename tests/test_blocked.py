@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qadd
 from qadd import (
     BlockParams,
     Circuit,
@@ -265,3 +270,37 @@ def test_carry_tree_uses_exactly_its_scratch_count(m):
     assert scratch == list(range(2 * m - 1, 2 * m - 1 + carry_tree_scratch_count(m, 1)))
     used = {w for gate in gates for w in gate.operands} - set(g_wires) - set(p_wires)
     assert used == set(scratch)
+
+
+def test_scratch_count_closed_form_equals_its_sum():
+    for n in range(1, 4097):
+        for l in range(1, 14):
+            expected = sum((n >> t) - 1 for t in range(l, n.bit_length() - 1))
+            assert carry_tree_scratch_count(n, l) == expected, (n, l)
+
+
+def test_an_over_cap_carry_tree_is_refused_in_linear_time():
+    # The count was a sum over every bit of n, quadratic in n's bit length:
+    # 1.5-2.0 s at 2**160000, so about 70 s at 2**(10**6).
+    code = (
+        "import qadd\n"
+        "from qadd.blocked import combined_step_gates\n"
+        "calls = [\n"
+        "    lambda: qadd.synth_combined(qadd.BlockParams(2**(10**6), 2)),\n"
+        "    lambda: combined_step_gates(qadd.BlockParams(2**(10**6), 2)),\n"
+        "    lambda: qadd.synth_carry(2**(10**6), 1),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as err:\n"
+        "        assert f'cap {qadd.WIRE_CAP}' in str(err), err\n"
+        "    else:\n"
+        "        raise SystemExit('not refused')\n"
+    )
+    src = str(Path(qadd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 0, done.stderr

@@ -486,6 +486,19 @@ def test_verify_random_caps_input_bits():
     assert report.ok
 
 
+def test_verify_random_caps_a_run_with_no_free_wire():
+    # The kernel's mask is trials bits long, so a run over no free wire
+    # counts one; any trials used to pass.  With _random_columns patched to
+    # raise, the refusal must come before any input is built.
+    c = synth_ripple(2)
+    _, packed = adder_oracle(c)
+    with mock.patch.object(sim, "_random_columns", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="cap"):
+            verify_random(c, packed_oracle=packed, trials=RANDOM_INPUT_BIT_CAP + 1, free_wires=[])
+    report = verify_random(c, packed_oracle=packed, trials=64, free_wires=[])
+    assert report.ok and report.total_cases == 64
+
+
 def _expected_columns_reference(circuit, in_cols, n_cases, oracle):
     """The original per-case oracle loop, which ORs one bit per case into
     growing ints; kept as the reference."""

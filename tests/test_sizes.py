@@ -40,6 +40,7 @@ from qadd import (
     verify_random,
 )
 from qadd.estimator import (
+    combined_adder_bounds,
     fanout_adder_cost,
     gcla_cost,
     log_star,
@@ -172,8 +173,12 @@ def test_a_number_too_long_to_print_is_refused_by_its_rule(call, message):
         ("fanout_adder_cost", lambda: fanout_adder_cost(10**400, 6, 2)),
         ("shor_dlog_estimate", lambda: shor_dlog_estimate(HUGE)),
         ("shor_dlog_estimate", lambda: shor_dlog_estimate(10**200, "fanout", e=6, f=2)),
+        ("combined_adder_bounds", lambda: combined_adder_bounds(2**1100, 2)),
     ],
-    ids=["tt_cost", "gcla_cost", "fanout-e", "fanout-n", "shor_dlog", "shor_dlog-fanout"],
+    ids=[
+        "tt_cost", "gcla_cost", "fanout-e", "fanout-n", "shor_dlog", "shor_dlog-fanout",
+        "combined_adder_bounds",
+    ],
 )
 def test_an_estimate_too_large_for_a_float_is_refused(name, call):
     # These used to raise OverflowError from Python's int-to-float conversion.
