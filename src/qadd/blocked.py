@@ -14,11 +14,12 @@ ancilla returns to 0.
 The frame of a block is the first 2k-2 gates of its carry computation,
 steps 1-3 of the ripple adder (``adder_first_half_gates``): the fold
 b_i ^= a_i for i >= 1 and the chain a_{i+1} ^= a_i, whose top CNOT writes
-the carry slot.  SUM works inside the same frame, so the circuit opens it
-once, in the init section, and closes it once: in the sum section on the
-top block, at the end of the unwind section on every other block.  The
-uncompute-init section, the block sums and the complement all run inside
-it.
+the carry slot.  Behind it, the one gate on the slot is the top Toffoli,
+at frame + k - 1 (the others write b, a and P).  SUM works inside the
+frame, so the circuit opens it once, in the init section, and closes it
+once: in the sum section on the top block, at the end of the unwind
+section on every other block.  The uncompute-init section, the block sums
+and the complement all run inside it.
 """
 
 from __future__ import annotations
@@ -320,7 +321,8 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     Each block's fold-and-chain frame (its first 2k-2 init gates) is
     opened in "init" and left open by "uncompute-init" and "sum"; "sum"
     closes it on the top block, and "unwind", which reverses "init",
-    closes it on the others.
+    closes it on the others.  Both undo each block behind its frame but
+    for its top Toffoli, at frame + k - 1, which writes the carry slot.
     """
     n, k, m = params.n, params.k, params.blocks
     plan = combined_wire_plan(params)
@@ -341,12 +343,9 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
 
     # step 3: undo step 1 behind each block's frame (its first 2k-2 gates)
-    # except on the carry slots, which keep their value
+    # except its top Toffoli, the one gate there on the carry slot
     frame = 2 * k - 2
-    carry_slots = set(g_slots)
-    tails = [
-        [g for g in block[frame:] if carry_slots.isdisjoint(g.operands)] for block in blocks
-    ]
+    tails = [block[frame : frame + k - 1] + block[frame + k :] for block in blocks]
     step3 = [g for tail in reversed(tails) for g in reversed(tail)]
 
     # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates

@@ -352,8 +352,9 @@ class Circuit:
         return self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
+        """Append every gate or, if one fails its check, none."""
         wire_count = self.wire_count
-        out = self.gates
+        gates = list(gates)
         for gate in gates:
             if not isinstance(gate, Gate):
                 raise TypeError(f"expected a Gate, got {type(gate).__name__}")
@@ -362,7 +363,7 @@ class Circuit:
                     raise ValueError(
                         f"gate operand {_shown(w)} out of range for {wire_count} wires"
                     )
-            out.append(gate)
+        self.gates += gates
         return self
 
     def inverse(self) -> "Circuit":

@@ -10,6 +10,12 @@ pair ``(per_case, packed)``; the per-case form, which maps one full-width
 bit state to the expected output state, is derived from the packed one as
 a one-case run.
 
+The column contract, which ``sim.run_packed`` keeps too: a column is used
+only through ``^``, ``&`` and ``|`` (an int may stand on either side), the
+column list only through ``len``, ``list(...)`` and indexing, and the mask
+``(1 << n_cases) - 1`` is built from the case count alone.  No column is
+tested for truth or compared, so any type with those operators runs.
+
 Oracles model the data wires only and pass ancilla columns through as they
 came in.  That every ancilla starts and ends at 0 is checked by ``sim``
 alone, which never compares an oracle's ancilla columns.

@@ -113,7 +113,13 @@ def run(circuit: Circuit, state: Sequence[int]) -> BitState:
 
 def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[int]:
     """Run a circuit on ``n_cases`` packed cases (one int column per wire);
-    ``n_cases`` follows the size rule, an ``int`` of at least 1."""
+    ``n_cases`` follows the size rule, an ``int`` of at least 1.
+
+    The kernel keeps the column contract of ``qadd.oracles``: it uses a
+    column only through ``^``, ``&`` and ``|``, the column list only
+    through ``len``, ``list(...)`` and indexing, and builds the mask
+    ``(1 << n_cases) - 1`` from the count alone, so it never tests a
+    column for truth or compares one."""
     _check_size("n_cases", n_cases, 1)
     if len(columns) != circuit.wire_count:
         raise ValueError("column count must equal wire count")

@@ -69,6 +69,25 @@ def test_append():
     assert compute_stats(c).depth == 1
 
 
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        ([cx(0, 1), cx(1, 2), cx(0, 5)], ValueError),  # an operand out of range
+        ([cx(0, 1), cx(1, 2), (0, (0,), (1,))], TypeError),  # not a Gate
+    ],
+    ids=["out-of-range", "not-a-gate"],
+)
+def test_a_failed_extend_appends_nothing(batch, error):
+    c = Circuit(3, gates=[x(0)])
+    before = list(c.gates)
+    with pytest.raises(error):
+        c.extend(batch)
+    assert c.gates == before
+    with pytest.raises(error):
+        c.extend(iter(batch))
+    assert c.gates == before
+
+
 def test_role_map_validation():
     with pytest.raises(ValueError):
         Circuit(2, role_map={0: "B0", 1: "B0"})  # duplicate label

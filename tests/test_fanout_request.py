@@ -5,12 +5,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import pytest
 
 import qadd
-from qadd import WIRE_CAP, export_netlist, synth_fanout_tree
+from qadd import WIRE_CAP, Circuit, export_netlist, synth_fanout_tree
 from qadd.fanout import fanout_tree_gates
 from qadd.oracles import fanout_oracle
 
@@ -49,6 +50,35 @@ def no_gates(monkeypatch):
 def test_over_cap_tree_is_refused_before_any_gate(no_gates, call):
     with pytest.raises(ValueError, match=f"cap {WIRE_CAP}"):
         call()
+
+
+def test_a_request_longer_than_sys_maxsize_is_refused_at_the_cap(no_gates):
+    # the synthesizer reads at most WIRE_CAP targets, and a WIRE_CAP-target
+    # request is over the cap already
+    with pytest.raises(ValueError, match=f"cap {WIRE_CAP}"):
+        synth_fanout_tree(0, range(1, 2**63 + 1), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fanout_tree_gates(0, range(1, 2**63 + 1), 2),
+        lambda: fanout_oracle(Circuit(3), 0, range(1, 2**63 + 1)),
+    ],
+    ids=["gates", "oracle"],
+)
+def test_a_request_longer_than_sys_maxsize_raises_value_error(no_gates, call):
+    with pytest.raises(ValueError, match="more targets than a tuple can hold"):
+        call()
+
+
+def test_the_synthesizer_reads_no_target_past_the_cap(no_gates):
+    def targets():
+        yield from repeat(1, WIRE_CAP)
+        raise AssertionError("read target WIRE_CAP + 1")
+
+    with pytest.raises(ValueError, match=f"cap {WIRE_CAP}"):
+        synth_fanout_tree(0, targets(), 2)
 
 
 @pytest.mark.parametrize(
