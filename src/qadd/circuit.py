@@ -13,7 +13,7 @@ import functools
 import gc
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -80,8 +80,9 @@ class Gate(tuple):
     __match_args__ = ("kind", "controls", "targets")
 
     def __new__(cls, kind: GateKind, controls: Iterable[int], targets: Iterable[int]) -> "Gate":
-        controls = tuple(controls)
-        targets = tuple(targets)
+        # ``_check_wires`` refuses more than WIRE_CAP ids, so read no more
+        controls = tuple(islice(controls, WIRE_CAP + 1))
+        targets = tuple(islice(targets, WIRE_CAP + 1))
         shape = _SHAPES.get(kind)
         if shape is None:
             raise ValueError(f"unknown gate kind {kind!r}")
@@ -189,8 +190,16 @@ def _check_wires(*registers: Iterable[int]) -> list[int]:
     """The one rule for a caller's wire ids, for ``Gate``, ``Circuit``, the
     builders and ``verify_*``: each is an ``int`` (not a bool), non-negative,
     and all are pairwise distinct across ``registers``, as in a netlist.
-    Returns the ids flattened in order; range checks are the caller's."""
-    wires = list(chain.from_iterable(registers))
+    Returns the ids flattened in order; range checks are the caller's.
+
+    It is also the one read bound: more than ``WIRE_CAP`` distinct
+    non-negative ids cannot all be wires of one circuit, so at most
+    ``WIRE_CAP + 1`` ids are read, and that many are refused before any id
+    is checked.  An endless iterable is refused the same way."""
+    wires = list(islice(chain.from_iterable(registers), WIRE_CAP + 1))
+    if len(wires) > WIRE_CAP:
+        del wires  # the refusal's traceback keeps this frame alive
+        raise ValueError(f"more wire ids than the cap {WIRE_CAP}")
     if not {int}.issuperset(map(type, wires)):
         bad = next(w for w in wires if type(w) is not int)
         raise ValueError(f"wire id {bad!r} is not an int")

@@ -11,29 +11,22 @@ initial value cancels.  No ancilla wires are needed.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable
 
 from .circuit import (
-    WIRE_CAP, Circuit, Gate, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx,
-    _fo,
+    Circuit, Gate, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _fo,
 )
 
 
 def _fanout_request(source: int, targets: Iterable[int]) -> tuple[int, ...]:
     """The one rule for a fan-out request, read by the tree's builder, its
-    synthesizer and ``oracles.fanout_oracle``: at least one target, and the
-    source and the targets under the one wire-id rule.  Returns the targets
-    as a tuple; range checks are the caller's.  A request too long for a
-    tuple raises ``ValueError``, not ``OverflowError``."""
-    try:
-        targets = tuple(targets)
-    except OverflowError:
-        raise ValueError("fan-out request has more targets than a tuple can hold") from None
-    if not targets:
+    synthesizer and ``oracles.fanout_oracle``: the source and the targets
+    under the one wire-id rule, and at least one target.  Returns the
+    targets as a tuple; range checks are the caller's."""
+    wires = _check_wires((source,), targets)
+    if len(wires) < 2:
         raise ValueError("need at least one target")
-    _check_wires((source,), targets)
-    return targets
+    return tuple(wires[1:])
 
 
 def fanout_tree_gates(source: int, targets: Iterable[int], f: int) -> list[Gate]:
@@ -74,11 +67,6 @@ def synth_fanout_tree(source: int, targets: Iterable[int], f: int) -> Circuit:
     2*ceil((t-1)/(f-1)) + 1; f = 1 falls back to a depth-t CNOT chain.
     The circuit is its own inverse.
     """
-    # t distinct non-negative targets and a source need at least t + 1 wires,
-    # so an over-cap request is refused before its ids are checked, after at
-    # most WIRE_CAP targets are read
-    targets = tuple(islice(targets, WIRE_CAP))
-    _check_wire_count(len(targets) + 1)
     targets = _fanout_request(source, targets)
     _check_size("f", f, 1)
     wire_count = _check_wire_count(max(source, *targets) + 1)

@@ -8,10 +8,16 @@ like ``1.0`` or ``True`` used to be accepted and exported as a line the
 parser rejects, or truncated to another wire.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qadd
 from qadd import (
     Circuit,
     Gate,
@@ -112,8 +118,48 @@ def test_wire_count_errors_name_the_wire_count_and_the_cap():
 
 
 def test_synth_fanout_tree_takes_a_one_shot_iterator():
-    # The targets are read once into a tuple, then checked and used twice.
+    # The targets are read once, by the wire-id rule, then used twice.
     assert synth_fanout_tree(5, iter([1, 2, 3]), 2).wire_count == 6
+
+
+def test_every_entry_point_reads_at_most_the_cap_plus_one_wire_ids():
+    # More than WIRE_CAP distinct ids cannot all be wires of one circuit, so
+    # the one rule reads WIRE_CAP + 1 of them and refuses.  Each request is
+    # about 4 M ids; a subprocess keeps them out of this process, whose peak
+    # a forked child's ru_maxrss would include.
+    code = (
+        "import qadd\n"
+        "from qadd import WIRE_CAP, Circuit, fo, tg, verify_exhaustive, verify_random\n"
+        "from qadd.fanout import fanout_tree_gates\n"
+        "from qadd.oracles import fanout_oracle\n"
+        "def ids():\n"
+        "    yield from range(1, WIRE_CAP + 2)\n"
+        "    raise AssertionError('read wire id WIRE_CAP + 2')\n"
+        "def same(cols, n_cases):\n"
+        "    return cols\n"
+        "calls = [\n"
+        "    'Circuit(3, ancilla=ids())',\n"
+        "    'verify_random(Circuit(3), packed_oracle=same, free_wires=ids())',\n"
+        "    'verify_exhaustive(Circuit(3), packed_oracle=same, free_wires=ids())',\n"
+        "    'fanout_tree_gates(0, ids(), 2)',\n"
+        "    'fanout_oracle(Circuit(3), 0, ids())',\n"
+        "    'fo(0, ids())',\n"
+        "    'tg(ids(), 0)',\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as err:\n"
+        "        assert f'cap {WIRE_CAP}' in str(err), (call, err)\n"
+        "    else:\n"
+        "        raise SystemExit(f'{call} was not refused')\n"
+    )
+    src = str(Path(qadd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # --- Circuit(...) accepts exactly what round-trips through a netlist ------
