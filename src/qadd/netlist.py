@@ -25,11 +25,25 @@ one pass on that line: ASCII-digit ids, the opcode's shape, pairwise
 distinct operands and every id below the wire count.  Each check is made
 once, there: the gates are built unchecked and the parts are adopted by
 ``Circuit`` as they are, with no second pass over the gates, and the parse
-runs with the garbage collector paused.  Each distinct gate line is checked
-once: a line whose exact text came before reuses the ``Gate`` built from
-it, so repeats share one immutable ``Gate``, and a bad line raises at its
-first occurrence.  Export writes CNOT, Toffoli and NOT lines with one
-f-string each and the variadic kinds with one ``join``.
+runs with the garbage collector paused.
+
+The header is read line by line up to the first gate line.  From there on
+a line can only be a gate, a blank line or a comment, or an error, and
+which it is depends on its text alone.  So the body's distinct lines are
+collected in C (``dict.fromkeys``) and each is checked once, in order of
+first occurrence, which makes a bad line raise at its first occurrence;
+its line number is looked up only then.  The gates are then laid out in
+C from that table, so repeats share one immutable ``Gate`` and a repeated
+line costs no Python bytecode.
+
+Export writes every wire id from a name table: each id's decimal text is
+made once per call, not once per occurrence.  The table is a list over
+every wire only when the export writes at least one gate or role line
+per wire, so the list never takes more memory than those lines; otherwise
+it is a dict that names each id on first use.  So an export costs O(ids
+written), not O(wire count), and a wide circuit with few gates stays
+small.  CNOT, Toffoli and NOT lines are one
+f-string each and the variadic kinds one ``join``.
 """
 
 from __future__ import annotations
@@ -66,25 +80,48 @@ class NetlistError(ValueError):
         self.reason = reason
 
 
+class _Names(dict):
+    """Wire id -> its decimal text, made on first use: the name table of an
+    export that writes fewer lines than the circuit has wires."""
+
+    def __missing__(self, wire: int) -> str:
+        name = self[wire] = str(wire)
+        return name
+
+
 def export_netlist(circuit: Circuit) -> str:
-    lines = [MAGIC, f"qubits {circuit.wire_count}"]
-    anc = " ".join(str(w) for w in sorted(circuit.ancilla))
-    lines.append(f"ancilla {anc}".rstrip())
-    for w, label in sorted(circuit.role_map.items()):
-        lines.append(f"# role {w} {label}")
+    wire_count = circuit.wire_count
+    gates = circuit.gates
+    roles = sorted(circuit.role_map.items())
+    ancilla = sorted(circuit.ancilla)
+    # A list index is faster than a dict lookup (a dict alone made the
+    # adders' round trip about 20 % slower), but a list of every wire's name
+    # is built only when the export writes at least one line per wire: each
+    # line is a string no smaller than a name, so the list never outweighs
+    # the lines the export holds anyway.  A wide circuit with fewer lines
+    # names just the wires it writes.
+    if wire_count <= len(gates) + len(roles):
+        names = list(map(str, range(wire_count)))
+    else:
+        names = _Names()
+    anc = " ".join(["ancilla", *map(names.__getitem__, ancilla)])
+    lines = [MAGIC, f"qubits {wire_count}", anc]
+    for w, label in roles:
+        lines.append(f"# role {names[w]} {label}")
     append = lines.append
     join = " ".join
-    for kind, controls, targets in circuit.gates:
+    for kind, controls, targets in gates:
         if kind is _CNOT:
-            append(f"cx {controls[0]} {targets[0]}")
+            append(f"cx {names[controls[0]]} {names[targets[0]]}")
         elif kind is _TOFFOLI:
             c1, c2 = controls
-            append(f"ccx {c1} {c2} {targets[0]}")
+            append(f"ccx {names[c1]} {names[c2]} {names[targets[0]]}")
         elif kind is _NOT:
-            append(f"x {targets[0]}")
+            append(f"x {names[targets[0]]}")
         else:
-            append(join((kind._value_, *map(str, controls + targets))))
-    return "\n".join(lines) + "\n"
+            append(join((kind._value_, *map(names.__getitem__, controls + targets))))
+    append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 def _column(line: str, index: int) -> int:
@@ -125,18 +162,9 @@ def parse_netlist(text: str) -> Circuit:
     ancilla: list[int] | None = None
     roles: dict[int, str] = {}
     labels: set[str] = set()
-    gates: list[Gate] = []
-    # A gate line's Gate depends only on its text and the wire count, which
-    # is fixed before any gate line is accepted, so each distinct valid gate
-    # line is checked once and its repeats share that Gate.
-    seen: dict[str, Gate] = {}
-    specs = _SPECS
-    add_gate = gates.append
+    start = len(lines)  # index of the first gate line: the body starts there
 
     for lineno, raw in enumerate(islice(lines, 1, None), start=2):
-        if raw in seen:
-            add_gate(seen[raw])
-            continue
         tokens = raw.split()
         if not tokens:
             continue
@@ -158,38 +186,11 @@ def parse_netlist(text: str) -> Circuit:
         if wire_count is None:
             raise NetlistError(lineno, 1, "qubits line must precede everything else")
 
-        spec = specs.get(head)
-        if spec is not None:
-            del tokens[0]
-            digits = "".join(tokens)
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(digits)
-                ids = tuple(map(int, tokens))
-            except ValueError:  # a bad token, or one longer than int() reads
-                _int_tokens(tokens, lineno, raw, 1)  # raises at that token
-                raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
-            kind, cut, count = spec
-            n = len(ids)
-            if count is None:
-                if n < 2:
-                    raise NetlistError(lineno, 1, f"{head} takes at least 2 wire ids, got {n}")
-            elif n != count:
-                raise NetlistError(lineno, 1, f"{head} takes {count} wire ids, got {n}")
-            if len(set(ids)) != n:
-                raise NetlistError(lineno, 1, f"{head}: duplicate operand wire in {ids}")
-            if max(ids) >= wire_count:
-                w = next(w for w in ids if w >= wire_count)
-                raise NetlistError(
-                    lineno, 1, f"gate operand {w} out of range for {wire_count} wires"
-                )
-            gate = seen[raw] = _new(Gate, (kind, ids[:cut], ids[cut:]))
-            add_gate(gate)
-            continue
+        if head in _SPECS:
+            start = lineno - 1
+            break
 
         if head == "#":  # a role line
-            if gates:
-                raise NetlistError(lineno, 1, "role line after gates")
             if len(tokens) != 4:
                 raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
             (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)
@@ -207,8 +208,6 @@ def parse_netlist(text: str) -> Circuit:
         if head == "ancilla":
             if ancilla is not None:
                 raise NetlistError(lineno, 1, "duplicate ancilla line")
-            if gates:
-                raise NetlistError(lineno, 1, "ancilla line after gates")
             ancilla = _int_tokens(tokens[1:], lineno, raw, 1)
             bad = [w for w in ancilla if w >= wire_count]
             if bad:
@@ -221,6 +220,60 @@ def parse_netlist(text: str) -> Circuit:
 
     if wire_count is None:
         raise NetlistError(len(lines), 1, "missing qubits line")
+
+    # The body: from the first gate line on, a line is a gate, a blank line
+    # or a comment, or an error, and which depends only on its text, as the
+    # wire count and the header are fixed.  So each distinct line is checked
+    # once, in order of first occurrence, which makes the first bad line the
+    # one that raises; its line number is looked up only then.
+    body = dict.fromkeys(islice(lines, start, None))
+    specs = _SPECS
+    for raw in body:
+        tokens = raw.split()
+        if not tokens:
+            continue
+        head = tokens[0]
+        spec = specs.get(head)
+        if spec is not None:
+            del tokens[0]
+            digits = "".join(tokens)
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(digits)
+                ids = tuple(map(int, tokens))
+            except ValueError:  # a bad token, or one longer than int() reads
+                lineno = lines.index(raw, start) + 1
+                _int_tokens(tokens, lineno, raw, 1)  # raises at that token
+                raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
+            kind, cut, count = spec
+            n = len(ids)
+            if count is None and n < 2:
+                reason = f"{head} takes at least 2 wire ids, got {n}"
+            elif count is not None and n != count:
+                reason = f"{head} takes {count} wire ids, got {n}"
+            elif len(set(ids)) != n:
+                reason = f"{head}: duplicate operand wire in {ids}"
+            elif max(ids) >= wire_count:
+                w = next(w for w in ids if w >= wire_count)
+                reason = f"gate operand {w} out of range for {wire_count} wires"
+            else:
+                body[raw] = _new(Gate, (kind, ids[:cut], ids[cut:]))
+                continue
+        elif head == "#" and tokens[1:2] != ["role"]:
+            continue  # a comment
+        elif head == "qubits":
+            reason = "duplicate qubits line"
+        elif head == "#":
+            reason = "role line after gates"
+        elif head != "ancilla":
+            reason = f"unknown opcode {head!r}"
+        elif ancilla is None:
+            reason = "ancilla line after gates"
+        else:
+            reason = "duplicate ancilla line"
+        raise NetlistError(lines.index(raw, start) + 1, 1, reason)
+
+    gates = list(filter(None, map(body.__getitem__, islice(lines, start, None))))
     # Every check the public Circuit constructor makes has been made above,
     # line by line: the qubits line against the cap, and every other line
     # against this wire count.  So the parts are adopted as they are.

@@ -2,15 +2,11 @@
 and its oracle, made before any gate exists."""
 
 import hashlib
-import os
-import subprocess
-import sys
 from itertools import repeat
-from pathlib import Path
 
 import pytest
 
-import qadd
+from peak_memory import child_peak_mb
 from qadd import WIRE_CAP, Circuit, export_netlist, synth_fanout_tree
 from qadd.fanout import fanout_tree_gates
 from qadd.oracles import fanout_oracle
@@ -102,23 +98,17 @@ def test_fanout_oracle_refuses_an_empty_target_list_as_the_builder_does(targets)
 
 
 def test_over_cap_fanout_refusal_stays_small():
-    # A WIRE_CAP-target request needs WIRE_CAP + 1 wires, refused from its
-    # length: no list or set of its ids is built (that took 401 MB).
+    # A WIRE_CAP-target request needs WIRE_CAP + 1 wires.  The read bound
+    # lists at most WIRE_CAP + 1 ids and refuses them from their count, so
+    # no set of the ids and no tree is built (that took 401 MB).
     code = (
-        "import resource, qadd\n"
+        "import qadd\n"
         "try:\n"
         "    qadd.synth_fanout_tree(0, range(1, qadd.WIRE_CAP + 1), 2)\n"
         "except ValueError as err:\n"
         "    assert f'cap {qadd.WIRE_CAP}' in str(err), err\n"
         "else:\n"
         "    raise SystemExit('not refused')\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    src = str(Path(qadd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = child_peak_mb(code)
     assert peak_mb < 256, f"{peak_mb:.0f} MB peak RSS"

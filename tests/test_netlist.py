@@ -26,6 +26,7 @@ from qadd import (
     tg,
     x,
 )
+from peak_memory import child_peak_mb
 from qadd.netlist import MAGIC
 from test_properties import circuits
 
@@ -317,6 +318,100 @@ def test_repeated_bad_gate_line_raises_at_its_first_occurrence():
 def test_spellings_of_one_gate_give_equal_gates():
     parsed = parse_netlist("qadd 1\nqubits 3\ncx 1 2\ncx 01 2\ncx  1 2\n")
     assert parsed.gates == [cx(1, 2)] * 3
+
+
+@pytest.mark.parametrize(
+    "header,bad,column,message",
+    [
+        ("", "cx 0 9", 1, "gate operand 9 out of range for 4 wires"),
+        ("", "cx 2 2", 1, "cx: duplicate operand wire in (2, 2)"),
+        ("", "ccx 0 1", 1, "ccx takes 3 wire ids, got 2"),
+        ("", "tg 3", 1, "tg takes at least 2 wire ids, got 1"),
+        ("", "cx 0 q", 6, "expected wire id, got 'q'"),
+        ("", "# role 0 B0", 1, "role line after gates"),
+        ("# role 0 B0\n", "# role 0 B0", 1, "role line after gates"),
+        ("", "ancilla 1", 1, "ancilla line after gates"),
+        ("ancilla 1\n", "ancilla 1", 1, "duplicate ancilla line"),
+        ("ancilla 2\n", "ancilla 1", 1, "duplicate ancilla line"),
+        ("ancilla\n", "ancilla 1", 1, "duplicate ancilla line"),
+        ("", "qubits 3", 1, "duplicate qubits line"),
+        ("", "qubits 4", 1, "duplicate qubits line"),
+        ("", "zz 0 1", 1, "unknown opcode 'zz'"),
+        ("", "#cx 0 1", 1, "unknown opcode '#cx'"),
+    ],
+)
+def test_repeated_body_errors_raise_at_their_first_occurrence(header, bad, column, message):
+    # The bad line stands twice behind a repeated valid gate line, and any
+    # header line with its text comes before the first gate line.
+    head = f"qadd 1\nqubits 4\n{header}"
+    text = f"{head}cx 0 1\n\ncx 0 1\n{bad}\ncx 0 1\n{bad}\n"
+    err = _expect_error(text, head.count("\n") + 4)
+    assert (err.column, err.reason) == (column, message)
+
+
+def test_a_body_of_blank_lines_and_comments_has_no_gates():
+    for body in ["\n\n# a note\n#\n\n# a note\n \t\n", "\r\n# a note\n\r\n# a note\n"]:
+        assert parse_netlist(f"qadd 1\nqubits 3\n{body}").gates == []
+    text = "qadd 1\nqubits 3\nx 0\n# a note\n\ncx 0 1\n# a note\n\nx 0\n#\n"
+    assert parse_netlist(text).gates == [x(0), cx(0, 1), x(0)]
+
+
+# --- the reference export -----------------------------------------------------
+#
+# The export as it was before the name table, calling ``str`` on every id it
+# writes: the bytes the name table must reproduce.
+
+
+def reference_export_netlist(circuit):
+    lines = [MAGIC, f"qubits {circuit.wire_count}"]
+    anc = " ".join(str(w) for w in sorted(circuit.ancilla))
+    lines.append(f"ancilla {anc}".rstrip())
+    for w, label in sorted(circuit.role_map.items()):
+        lines.append(f"# role {w} {label}")
+    for kind, controls, targets in circuit.gates:
+        if kind is GateKind.CNOT:
+            lines.append(f"cx {controls[0]} {targets[0]}")
+        elif kind is GateKind.TOFFOLI:
+            c1, c2 = controls
+            lines.append(f"ccx {c1} {c2} {targets[0]}")
+        elif kind is GateKind.NOT:
+            lines.append(f"x {targets[0]}")
+        else:
+            lines.append(" ".join((kind.value, *map(str, controls + targets))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_export_matches_reference(circuit):
+    assert export_netlist(circuit) == reference_export_netlist(circuit)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: synth_ripple(4089),
+        lambda: synth_combined(BlockParams(4096, 12)),
+        lambda: synth_fanout_tree(0, range(1, 4097), 3),
+        lambda: Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)]),
+    ],
+    ids=["ripple-4089", "combined-4096-12", "fanout-4096-3", "wide-sparse"],
+)
+def test_export_matches_reference_on_large_circuits(build):
+    circuit = build()
+    assert export_netlist(circuit) == reference_export_netlist(circuit)
+
+
+def test_wide_sparse_export_stays_small():
+    # One gate on 2^22 wires: the export names only the ids it writes, so
+    # it never lists every wire's name (that took 304 MB).
+    code = (
+        "from qadd import WIRE_CAP, Circuit, cx, export_netlist\n"
+        "text = export_netlist(Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)]))\n"
+        "assert text == 'qadd 1\\nqubits 4194304\\nancilla\\ncx 0 4194303\\n', repr(text)\n"
+    )
+    peak_mb = child_peak_mb(code, timeout=20)
+    assert peak_mb < 64, f"{peak_mb:.0f} MB peak RSS"
 
 
 # --- the reference parser -----------------------------------------------------
