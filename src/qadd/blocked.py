@@ -406,11 +406,11 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
 def synth_combined(params: BlockParams) -> Circuit:
     """Full combined adder for ADD_n; same in/out contract as the ripple adder.
 
-    Ancillae: m-1 generate slots G0..G{m-2}, m-1 propagate slots
-    P1..P{m-1}, and the carry tree's scratch wires, 3n/k - log2(n/k) - 3
-    in total, all restored to 0.
+    Ancillae, for m = n/k blocks: m-1 generate slots G0..G{m-2}, m-1
+    propagate slots P1..P{m-1}, and the carry tree's scratch wires,
+    3n/k - log2(n/k) - 3 in total, all restored to 0.
     """
-    n, m = params.n, params.blocks
+    n = params.n
     plan = combined_wire_plan(params)
     registers, named = ripple_roles(n)  # the data wires are laid out as in the ripple adder
     g, p, s = plan["g_slots"], plan["p_slots"], plan["scratch"]

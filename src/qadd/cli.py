@@ -54,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write a netlist for a synthesized circuit")
     add_kind_flags(p_synth)
     p_synth.add_argument("-o", "--output", metavar="FILE")
+    p_synth.set_defaults(run=_cmd_synth)
 
     p_verify = sub.add_parser("verify", help="check a synthesized circuit against its oracle")
     add_kind_flags(p_verify)
@@ -62,12 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("-o", "--output", metavar="FILE")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_stats = sub.add_parser("stats", help="print circuit statistics")
     p_stats.add_argument("netlist", nargs="?", metavar="FILE")
     add_kind_flags(p_stats)
     p_stats.add_argument("--json", action="store_true")
     p_stats.add_argument("-o", "--output", metavar="FILE")
+    p_stats.set_defaults(run=_cmd_stats)
 
     p_est = sub.add_parser("estimate", help="evaluate a closed-form cost estimate")
     p_est.add_argument("--target", choices=["adder-fanout", "shor-dlog"], required=True)
@@ -78,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--adder", choices=["ripple", "combined", "fanout"])
     p_est.add_argument("--json", action="store_true")
     p_est.add_argument("-o", "--output", metavar="FILE")
+    p_est.set_defaults(run=_cmd_estimate)
 
     return parser
 
@@ -223,13 +227,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code or 0)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        return _cmd_estimate(args)
+        return args.run(args)
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         parser.print_usage(sys.stderr)

@@ -2,8 +2,11 @@
 
 Asymptotic cost statements are reified as concrete formulas whose
 multiplicative constants live in a ``ConstantPack`` (all defaulting to 1).
-The estimates claim formula shape, monotonicity, and dominance over the
-synthesized circuits, never that the constants are tight.  Every size
+The estimates claim formula shape and monotonicity, never that the
+constants are tight.  Only ``combined_adder_bounds`` and the ripple closed
+forms that ``shor_dlog_estimate`` reads are checked against synthesized
+circuits.  No synthesizer emits ``tg``, so ``tt_cost``, ``gcla_cost`` and
+``fanout_adder_cost`` have no circuit behind them.  Every size
 parameter (``t``, ``m``, ``n``, ``d``, ``e``, ``f``) follows the package's
 one size rule: an ``int``, not a bool, at least its least value.  An
 estimate too large for a float raises ``ValueError``.
@@ -173,6 +176,7 @@ def tt_cost(t: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostEst
     size = c_size * t, ancilla = c_anc * t.  (The internal stages behind
     this composite are a depth O(log t/log f + 1), size O(t log t)
     reduction of a t-wide OR to O(log t) bits, iterated log*-many times.)
+    No circuit backs this formula: no synthesizer emits ``tg``.
     """
     _check_pack(consts)
     _check_size("t", t, 2)
@@ -197,6 +201,7 @@ def gcla_cost(m: int, f: int, consts: ConstantPack = DEFAULT_CONSTANTS) -> CostE
 
     ancilla = size = c * m * log**(m);
     depth = c_depth * (log2(m)/log2(f) + c_logstar * log*(m * log**(m))).
+    No circuit backs this formula: no synthesizer builds this adder.
     """
     _check_pack(consts)
     _check_size("m", m, 2)
@@ -224,7 +229,8 @@ def fanout_adder_cost(
     """Adder of depth e built with fan-outs of length at most f.
 
     Requires e >= log*(n).  ancilla = c_anc * n * log**(n) / e,
-    depth = c_depth * e, size = c_size * n.
+    depth = c_depth * e, size = c_size * n.  No circuit backs this formula:
+    no synthesizer builds this adder.
     """
     _check_pack(consts)
     _check_size("n", n, 2)
@@ -298,7 +304,9 @@ def shor_dlog_estimate(
     ``e`` and ``f`` except for fanout) raises ``ValueError``.
 
     qubits = 4n + ancilla, depth = c_depth * n**2 * adder_depth,
-    size = c_size * n**3.
+    size = c_size * n**3.  The 4n registers, the n**2 adder calls and the
+    size n**3, which ignores the adder's size, are assumed: no circuit
+    backs them.  Nor does one back the fanout adder's depth c_depth * e.
 
     The two adder depths are different metrics, so the budgets do not
     compare: ripple's 5n-3 is the full depth, combined's 14k + 4*log2(n/k)

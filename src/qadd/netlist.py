@@ -152,6 +152,17 @@ def _int_tokens(tokens: list[str], lineno: int, line: str, first: int) -> list[i
     return out
 
 
+def _misplaced(head: str, ancilla: list[int] | None) -> str:
+    """Why a line out of place is refused, given the ancilla ids read so far."""
+    if head == "qubits":
+        return "duplicate qubits line"
+    if head == "#":
+        return "role line after gates"
+    if head != "ancilla":
+        return f"unknown opcode {head!r}"
+    return "ancilla line after gates" if ancilla is None else "duplicate ancilla line"
+
+
 @_collector_paused
 def parse_netlist(text: str) -> Circuit:
     lines = text.split("\n")
@@ -172,9 +183,7 @@ def parse_netlist(text: str) -> Circuit:
         if head == "#" and tokens[1:2] != ["role"]:
             continue  # other comments are ignored
 
-        if head == "qubits":
-            if wire_count is not None:
-                raise NetlistError(lineno, 1, "duplicate qubits line")
+        if head == "qubits" and wire_count is None:
             ids = _int_tokens(tokens[1:], lineno, raw, 1)
             if len(ids) != 1 or ids[0] < 1:
                 raise NetlistError(lineno, 1, "qubits line needs one positive count")
@@ -205,9 +214,7 @@ def parse_netlist(text: str) -> Circuit:
             labels.add(label)
             continue
 
-        if head == "ancilla":
-            if ancilla is not None:
-                raise NetlistError(lineno, 1, "duplicate ancilla line")
+        if head == "ancilla" and ancilla is None:
             ancilla = _int_tokens(tokens[1:], lineno, raw, 1)
             bad = [w for w in ancilla if w >= wire_count]
             if bad:
@@ -216,7 +223,7 @@ def parse_netlist(text: str) -> Circuit:
                 raise NetlistError(lineno, 1, "duplicate ancilla wire id")
             continue
 
-        raise NetlistError(lineno, 1, f"unknown opcode {head!r}")
+        raise NetlistError(lineno, 1, _misplaced(head, ancilla))
 
     if wire_count is None:
         raise NetlistError(len(lines), 1, "missing qubits line")
@@ -261,16 +268,8 @@ def parse_netlist(text: str) -> Circuit:
                 continue
         elif head == "#" and tokens[1:2] != ["role"]:
             continue  # a comment
-        elif head == "qubits":
-            reason = "duplicate qubits line"
-        elif head == "#":
-            reason = "role line after gates"
-        elif head != "ancilla":
-            reason = f"unknown opcode {head!r}"
-        elif ancilla is None:
-            reason = "ancilla line after gates"
         else:
-            reason = "duplicate ancilla line"
+            reason = _misplaced(head, ancilla)
         raise NetlistError(lines.index(raw, start) + 1, 1, reason)
 
     gates = list(filter(None, map(body.__getitem__, islice(lines, start, None))))
