@@ -15,7 +15,7 @@ from .blocked import BlockParams, synth_combined
 from .circuit import WIRE_CAP, Circuit, _check_size, compute_stats
 from .estimator import fanout_adder_cost, shor_dlog_estimate
 from .fanout import synth_fanout_tree
-from .netlist import NetlistError, export_netlist, parse_netlist
+from .netlist import export_netlist, parse_netlist
 from .oracles import adder_oracle, fanout_oracle
 from .ripple import ripple_closed_forms, synth_ripple
 from .sim import (
@@ -232,7 +232,7 @@ def dispatch(argv: list[str]) -> int:
         sys.stderr.write(f"error: {err}\n")
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, OverflowError, NetlistError, OSError) as err:
+    except (ValueError, OverflowError, OSError) as err:  # a NetlistError is a ValueError
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -1,6 +1,7 @@
 import pytest
 
 from qadd import (
+    BlockParams,
     Circuit,
     Gate,
     GateKind,
@@ -11,6 +12,7 @@ from qadd import (
     fo,
     max_window_span,
     parse_netlist,
+    synth_combined,
     synth_fanout_tree,
     synth_ripple,
     tg,
@@ -130,6 +132,17 @@ def test_stats_ripple_counts():
     assert (st.depth, st.size, st.count_toffoli, st.count_cnot) == (22, 29, 9, 20)
     st = compute_stats(synth_ripple(3))
     assert (st.depth, st.size) == (12, 15)
+
+
+def test_count_toffoli_like_adds_generalized_toffolis():
+    st = synth_combined(BlockParams(8, 2)).stats()
+    assert st.count_toffoli_like == st.count_toffoli + st.count_gen_toffoli
+    st = build_circuit(4).extend([ccx(0, 1, 2), tg([0, 1, 2], 3), cx(0, 1)]).stats()
+    assert (st.count_toffoli, st.count_gen_toffoli, st.count_toffoli_like) == (1, 1, 2)
+
+
+def test_circuit_repr_names_its_shape():
+    assert repr(synth_ripple(5)) == "Circuit(wires=11, gates=29, ancilla=0)"
 
 
 def test_stats_sum_of_counts():

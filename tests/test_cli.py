@@ -13,6 +13,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["stats", "--kind", "ripple", "--n", "3"], 0),
+        (["verify", "--kind", "ripple", "--n", "3", "--trials", "0"], 2),
+    ],
+    ids=["ok", "refused"],
+)
+def test_main_exits_with_the_dispatch_code(monkeypatch, argv, code):
+    # main is what the console script runs: dispatch on sys.argv, then exit
+    monkeypatch.setattr(cli.sys, "argv", ["qadd", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == code
+
+
 def test_synth_to_file_then_stats(tmp_path, capsys):
     path = tmp_path / "add5.qn"
     code, out, _ = run_cli(capsys, "synth", "--kind", "ripple", "--n", "5", "-o", str(path))

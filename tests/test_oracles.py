@@ -73,8 +73,8 @@ def test_adder_oracle_matches_at_width_64():
         assert _unpack(out, by_role["Z"], case) == z ^ (s >> 64)
 
 
-def test_init_oracle_matches_direct_recurrences():
-    w = 4
+@pytest.mark.parametrize("w", [2, 3, 4, 5])
+def test_init_oracle_matches_direct_recurrences(w):
     c = synth_init(w)
     _, packed = init_oracle(c)
     by_role = c.wires_by_role()
@@ -100,9 +100,34 @@ def test_init_oracle_matches_direct_recurrences():
         assert _unpack(out, by_role["P"], case) == prefix[w]
 
 
-def test_sum_oracle_matches_integer_addition():
-    w = 4
-    c = synth_sum(w, with_carry_in=True)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_half_oracle_matches_direct_recurrences(n):
+    # Steps 1-3 of the ripple adder: no integer sum to compare, so the
+    # carries come from the majority, one bit at a time.
+    c = synth_ripple(n)
+    _, packed = first_half_oracle(c)
+    by_role = c.wires_by_role()
+    cols = _enumeration_columns(c, list(range(c.wire_count)))
+    out = packed(cols, 1 << c.wire_count)
+    for case in range(1 << c.wire_count):
+        a = [_unpack(cols, by_role[f"A{i}"], case) for i in range(n)]
+        b = [_unpack(cols, by_role[f"B{i}"], case) for i in range(n)]
+        z = _unpack(cols, by_role["Z"], case)
+        carries = [0]
+        for i in range(n):
+            carries.append(_majority(a[i], b[i], carries[i]))
+        assert _unpack(out, by_role["B0"], case) == b[0]
+        assert _unpack(out, by_role["A0"], case) == a[0]
+        for i in range(1, n):
+            assert _unpack(out, by_role[f"B{i}"], case) == b[i] ^ a[i]
+            assert _unpack(out, by_role[f"A{i}"], case) == a[i] ^ carries[i]
+        assert _unpack(out, by_role["Z"], case) == z ^ carries[n]
+
+
+@pytest.mark.parametrize("with_carry_in", [True, False])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_sum_oracle_matches_integer_addition(w, with_carry_in):
+    c = synth_sum(w, with_carry_in=with_carry_in)
     _, packed = sum_oracle(c)
     by_role = c.wires_by_role()
     cols = _enumeration_columns(c, list(range(c.wire_count)))
@@ -110,12 +135,13 @@ def test_sum_oracle_matches_integer_addition():
     for case in range(1 << c.wire_count):
         a = sum(_unpack(cols, by_role[f"A{i}"], case) << i for i in range(w))
         b = sum(_unpack(cols, by_role[f"B{i}"], case) << i for i in range(w))
-        cin = _unpack(cols, by_role["C"], case)
+        cin = _unpack(cols, by_role["C"], case) if with_carry_in else 0
         t = a + b + cin
         for i in range(w):
             assert _unpack(out, by_role[f"B{i}"], case) == (t >> i) & 1
             assert _unpack(out, by_role[f"A{i}"], case) == (a >> i) & 1
-        assert _unpack(out, by_role["C"], case) == cin
+        if with_carry_in:
+            assert _unpack(out, by_role["C"], case) == cin
 
 
 def test_carry_fold_oracle_matches_integer_carries():
