@@ -22,7 +22,6 @@ RSS from 175 to 22 MB, against one chunk of up to 2 MiB per column.
 from __future__ import annotations
 
 import json
-import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -58,12 +57,19 @@ MAX_RECORDED_FAILURES = 32
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-#: Stream bits drawn per ``_splitmix64_block`` call by ``_random_columns``,
-#: which keeps the block's 128-bit-lane temporaries to 128 KiB each.
+#: Stream bits mixed at once by ``_splitmix64_block``, which keeps its
+#: 128-bit-lane temporaries to 128 KiB each.
 _CHUNK_BITS = 1 << 19
 
 #: Stream bits transposed per chunk by ``_random_columns`` (2 MiB).
 _TRANSPOSE_BITS = 1 << 24
+
+#: Translate tables, per sub-byte offset s, that shift each byte of a
+#: string down by s and up by 8 - s, dropping the bits that leave it.
+_BYTE_SHIFTS = [
+    (bytes(b >> s for b in range(256)), bytes(b << 8 - s & 0xFF for b in range(256)))
+    for s in range(8)
+]
 
 #: Delta-swap rounds of an 8 x 8 bit transpose: (distance, mask of one lane).
 _TRANSPOSE8_ROUNDS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
@@ -195,31 +201,39 @@ def _enumeration_columns(circuit: Circuit, free: Sequence[int]) -> list[int]:
     return cols
 
 
-def _splitmix64_block(seed: int, start: int, count: int) -> bytes:
+def _splitmix64_block(seed: int, start: int, count: int) -> bytearray:
     """Words ``start .. start+count-1`` of ``splitmix64(seed)``, packed as
-    8-byte little-endian words.
+    8-byte little-endian words into a new buffer.
 
-    All words are mixed at once: word ``k`` sits in its own 128-bit lane of
-    one int, every shift is masked back to the low 64 bits of each lane and
-    every product of two 64-bit values fits in 128 bits, so no lane ever
-    carries into the next.
+    Words are mixed ``_CHUNK_BITS // 64`` at a time, word ``k`` of a
+    sub-block in its own 128-bit lane of one int: every shift is masked
+    back to the low 64 bits of each lane and every product of two 64-bit
+    values fits in 128 bits, so no lane carries into the next.  The masks
+    and first states are built once per call; each later sub-block's states
+    are the last ones plus ``block * _GAMMA`` per lane.
     """
-    ramp = array("Q", bytes(16 * count))
-    ramp[::2] = array("Q", range(start + 1, start + count + 1))
-    if sys.byteorder == "big":
-        ramp.byteswap()
-    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    block = min(count, _CHUNK_BITS // 64)
+    if block == 0:
+        return bytearray()
+    ramp = b"".join([k.to_bytes(16, "little") for k in range(start + 1, start + block + 1)])
+    ones = int.from_bytes((b"\x01" + bytes(15)) * block, "little")
     lanes = _MASK64 * ones
-    z = int.from_bytes(ramp, "little") * _GAMMA + (seed & _MASK64) * ones
-    z &= lanes
-    z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
-    z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
-    z ^= (z >> 31) & lanes
-    # Keep the low 8 bytes of each 16-byte lane; no value is read, so the
-    # native item order of the array does not matter here.
-    packed = array("Q")
-    packed.frombytes(z.to_bytes(16 * count, "little"))
-    return packed[::2].tobytes()
+    state = (int.from_bytes(ramp, "little") * _GAMMA + (seed & _MASK64) * ones) & lanes
+    advance = (block * _GAMMA & _MASK64) * ones
+    out = bytearray(8 * count)
+    for k in range(0, count, block):
+        m = min(block, count - k)
+        z = state if m == block else state & (1 << 128 * m) - 1
+        z = ((z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9) & lanes
+        z = ((z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB) & lanes
+        z ^= (z >> 31) & lanes
+        # Keep the low 8 bytes of each 16-byte lane; no value is read, so
+        # the native item order of the array does not matter here.
+        packed = array("Q")
+        packed.frombytes(z.to_bytes(16 * m, "little"))
+        out[8 * k : 8 * (k + m)] = packed[::2]
+        state = (state + advance) & lanes
+    return out
 
 
 def _transpose_bytes8(lanes: bytes) -> bytearray:
@@ -257,21 +271,22 @@ def _random_columns(
     that trial.
 
     Trials are transposed in chunks of about ``_TRANSPOSE_BITS`` stream
-    bits (at least 64 trials), each drawn in blocks of ``_CHUNK_BITS``.  In
-    a chunk, trials ``8g .. 8g+7`` are the 8 rows of group ``g``, and byte
-    ``q`` of every row of every group is one strided byte slice of the
-    chunk shifted by the row's offset.  Those bytes are laid out as one
-    8 x 8 bit matrix per (byte, group) lane, ``_transpose_bytes8``
-    transposes thousands of lanes per big-int operation, and each wire's
-    column piece is one strided slice of the result.
+    bits (at least 64 trials), each drawn by one ``_splitmix64_block``
+    call.  In a chunk, trials ``8g .. 8g+7`` are the 8 rows of group ``g``;
+    a row's bytes in every group are strided byte slices of the stream,
+    shifted by the row's sub-byte offset through translate tables, so the
+    chunk is never one int.  The rows are laid out as one 8 x 8 bit matrix
+    per (byte, group) lane, ``_transpose_bytes8`` transposes thousands of
+    lanes per big-int operation, and each wire's column piece is one
+    strided slice of the result.
     So the Python-level work is linear in the wires per chunk, with no
     loop over trials, and the time is linear in ``trials``.
 
     Each column is written in place into a byte buffer of its final size
     and swapped for its int at the end.  Apart from the columns, the extra
-    memory is about three chunk-sized buffers while a chunk is
-    transposed (2 MiB each, or 64 trials' worth above 2**18 wires), and
-    one column while the buffers are swapped for ints.
+    memory is about two chunk-sized buffers (2 MiB each, or 64 trials'
+    worth above 2**18 wires) while a chunk is cut into rows and
+    transposed, and one column while the buffers are swapped for ints.
     """
     cols = [0] * circuit.wire_count
     width = len(free)
@@ -279,33 +294,33 @@ def _random_columns(
         return cols
     # A multiple of 64 trials keeps every chunk word- and byte-aligned.
     step = max(64, _TRANSPOSE_BITS // width // 64 * 64)
-    block = _CHUNK_BITS // 64
     row_bytes = (width + 7) // 8
     bufs = [bytearray((trials + 7) // 8) for _ in free]
     for first in range(0, trials, step):
         n = min(step, trials - first)
-        start, n_words = first * width // 64, -(-n * width // 64)
-        words = b"".join(
-            _splitmix64_block(seed, start + k, min(block, n_words - k))
-            for k in range(0, n_words, block)
-        )
         groups = (n + 7) // 8
-        # Stream bits past the last group's span are never read.
-        chunk = int.from_bytes(memoryview(words)[: groups * width], "little")
-        del words
-        # Row r of group g starts at bit r*width of the group's span of
-        # ``width`` bytes, so byte q of it is byte g*width + q of the chunk
-        # shifted down by r*width.  A row's last byte also holds bits of the
-        # next row; they land only in the bytes of wires past the last.
-        # Each chunk-sized buffer is dropped once read, so at most three
-        # are alive at a time.
-        matrix = bytearray(8 * row_bytes * groups)
+        span = groups * width
+        stream = _splitmix64_block(seed, first * width // 64, -(-n * width // 64))
+        # Rows read up to one byte past the last group's span; from the
+        # span on, every byte is zero and lands only in wires past the last.
+        del stream[span:]
+        stream += bytes(span + 1 - len(stream))
+        # Row r of group g starts at bit s of byte g*width + o, for o, s =
+        # divmod(r*width, 8), so its byte q is byte o + q shifted down by s
+        # or-ed with byte o + q + 1 shifted up by 8 - s.  Joined, the strided
+        # lanes at o .. o + row_bytes hold the low bytes from offset 0 and
+        # the high ones from offset ``groups``.  A row's last byte also
+        # holds bits of the next row, which land only in wires past the last.
+        size = row_bytes * groups
+        matrix = bytearray(8 * size)
         for r in range(8):
-            row = chunk.to_bytes(groups * width, "little")
-            matrix[r::8] = b"".join([row[q::width] for q in range(row_bytes)])
-            del row
-            chunk >>= width
-        del chunk
+            o, s = divmod(r * width, 8)
+            lanes = b"".join([stream[o + q : o + q + span : width] for q in range(row_bytes + 1)])
+            down, up = _BYTE_SHIFTS[s]
+            lo = int.from_bytes(lanes[:size].translate(down), "little")
+            hi = int.from_bytes(lanes[groups:].translate(up), "little")
+            matrix[r::8] = (lo | hi).to_bytes(size, "little")
+        del stream
         out = _transpose_bytes8(matrix)
         del matrix
         at = first // 8
@@ -552,12 +567,12 @@ def verify_random(
     ``_random_columns`` for the exact bit assignment), so identical seeds
     give identical trial sequences and byte-identical reports.  Generating
     them takes time linear in ``trials``, and the extra memory beyond the
-    input columns is about three chunks of 2**24 stream bits (at least 64
+    input columns is about two chunks of 2**24 stream bits (at least 64
     trials each) plus one column.  ``trials * len(free wires)``, counting at
     least one wire, is capped at ``RANDOM_INPUT_BIT_CAP``; larger requests
-    raise ``ValueError``.  At the cap, generating the inputs took 6.2-7.3 s
-    and peaked at 158-189 MB RSS for 128 MiB of columns (7, 64 and 2049
-    free wires, CPython 3.11 on one core of a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
+    raise ``ValueError``.  At the cap, generating the inputs took 4.2-5.6 s
+    and peaked at 155-190 MB RSS for 128 MiB of columns (7, 64 and 2049
+    free wires, CPython 3.11 on a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
     ``packed_oracle=``.  The free wires, ``trials``, ``seed``, the cap and
     the oracle pair are all checked, in that order, before any input is
     generated.  ``packed_oracle=`` is the fast path; ``verify_exhaustive``

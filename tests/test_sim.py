@@ -427,6 +427,18 @@ def test_random_columns_match_strided_reference_across_transpose_chunks(monkeypa
         assert got == want
 
 
+@pytest.mark.parametrize("transpose_bits", [_TRANSPOSE_BITS, 1 << 10])
+@pytest.mark.parametrize("width", [8 * k + j for k in (0, 1, 256) for j in range(8) if 8 * k + j])
+def test_random_columns_match_strided_reference_at_every_shift(monkeypatch, width, transpose_bits):
+    # Row r of a group starts r*width bits into it, so the widths of each
+    # residue mod 8 cut rows at their own set of sub-byte shifts, and the
+    # odd ones at all eight.
+    monkeypatch.setattr(sim, "_TRANSPOSE_BITS", transpose_bits)
+    for trials in (1, 9, 131):
+        got, want = _all_free_columns(width, trials, seed=3 * width + 1)
+        assert got == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -473,6 +485,20 @@ def test_transpose_bytes8_matches_per_bit_reference(count):
     [(0, 0, 1), (0, 5, 40), (7, 1, 3), (2**64, 3, 17), (2**64 + 9, 100, 65), (-3, 2, 8)],
 )
 def test_splitmix64_block_matches_stream(seed, start, count):
+    expected = struct.pack(f"<{count}Q", *islice(splitmix64(seed), start, start + count))
+    assert _splitmix64_block(seed, start, count) == expected
+
+
+_SUB_BLOCK = _CHUNK_BITS // 64
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64 + 9, 2**70])
+@pytest.mark.parametrize("start", [0, _SUB_BLOCK + 5])
+@pytest.mark.parametrize(
+    "count", [0, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 2 * _SUB_BLOCK + 3]
+)
+def test_splitmix64_block_matches_stream_across_sub_blocks(seed, start, count):
+    # Each sub-block after the first advances the states of the one before.
     expected = struct.pack(f"<{count}Q", *islice(splitmix64(seed), start, start + count))
     assert _splitmix64_block(seed, start, count) == expected
 
