@@ -17,6 +17,10 @@ columns that stay in the CPU cache.  On the benchmark's exhaustive
 workload (ripple n <= 11, combined n = 8, init blocks and fan-out trees up
 to the 24-wire cap) that took a pass from about 2.5 to 0.55 s and its peak
 RSS from 175 to 22 MB, against one chunk of up to 2 MiB per column.
+Deciding each chunk by one equality test per column, and building a diff
+only for a chunk that fails, then took the pass from 0.58 to 0.41 s
+(medians of six alternating in-process rounds, CPython 3.11 on a 2-vCPU
+Xeon).
 """
 
 from __future__ import annotations
@@ -286,7 +290,11 @@ def _random_columns(
     and swapped for its int at the end.  Apart from the columns, the extra
     memory is about two chunk-sized buffers (2 MiB each, or 64 trials'
     worth above 2**18 wires) while a chunk is cut into rows and
-    transposed, and one column while the buffers are swapped for ints.
+    transposed.  The swap costs more than one column: at the cap, RSS went
+    from 144.5 MB before it to a peak of 189.5 MB with 7 free wires (18.3
+    MB columns, about 2.5 columns more) and from 152.3 to 160.1 MB with 64
+    (2 MB columns); with 2049 free wires the peak stayed that of the chunks
+    (VmRSS and VmHWM of ``/proc/self/status``, CPython 3.11, glibc).
     """
     cols = [0] * circuit.wire_count
     width = len(free)
@@ -421,16 +429,25 @@ def _check_columns(
     the oracle's.  The ancilla rule lives here only: every ancilla output
     must be 0, the oracle's ancilla columns are never read, and a failure
     records 0 as each ancilla's expected bit.  ``room`` caps the failures
-    and the ancilla violations decoded, earliest cases first."""
+    and the ancilla violations decoded, earliest cases first.
+
+    Whether any case fails is decided first, by one equality test per data
+    wire of its out column against the oracle's; the XOR diff that locates
+    the failing cases is built only when some column differs.  On a passing
+    chunk of 2**16 cases that saves an 8 KiB XOR per wire.  The test is
+    ``int.__eq__``, not ``==``: ``_check_result`` accepts int subclasses,
+    and with ``==`` an entry whose own ``__eq__`` always says True would
+    pass a broken circuit."""
     wc = circuit.wire_count
     out_cols = run_packed(circuit, in_cols, n_cases)
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
     exp_cols = packed_oracle(list(in_cols), n_cases)
-    _check_result(exp_cols, data_wires, wc, n_cases)
+    expected = _check_result(exp_cols, data_wires, wc, n_cases)
 
     diff = 0
-    for w in data_wires:
-        diff |= exp_cols[w] ^ out_cols[w]
+    if not all(map(int.__eq__, [out_cols[w] for w in data_wires], expected)):
+        for w in data_wires:
+            diff |= exp_cols[w] ^ out_cols[w]
     viol = 0
     for w in circuit.ancilla:
         viol |= out_cols[w]
@@ -516,12 +533,15 @@ def verify_exhaustive(
     that every chunk shares, and each higher free wire is constant in a
     chunk.  The report is the one a single pass over all cases would give,
     and every chunk's oracle result is checked, also once the report is
-    full.  At the cap of 2**24 cases, ``qadd verify --kind fanout-tree --t
-    23 --f 2 --exhaustive`` took 0.13 s and peaked at 16 MB RSS, where one
-    chunk of 2 MiB columns took 0.29 s and 170 MB.  Each chunk walks every
-    gate, so a circuit of many gates with few free wires pays the per-gate
-    cost once per chunk: combined n = 1024 with 22 free wires took 2.5 s
-    and 35 MB, against 2.0 s and 1.2 GB in one chunk.
+    full.  At the cap of 2**24 cases, the fan-out tree t = 23, f = 2 is
+    checked in 32 ms in process (44 ms when every chunk built its diff),
+    and ``qadd verify --kind fanout-tree --t 23 --f 2 --exhaustive`` took
+    0.16 s (0.20 s) and peaked at 18 MB RSS, most of it start-up and
+    compiling the package; one chunk of 2 MiB columns took 0.29 s and 170
+    MB.  Each chunk walks every gate, so a circuit of many gates with few
+    free wires pays the per-gate cost once per chunk: combined n = 1024
+    with 22 free wires took 2.5 s and 35 MB, against 2.0 s and 1.2 GB in
+    one chunk.
 
     ``packed_oracle=`` is the fast path: one call per chunk computes every
     case's expected columns.  A per-case ``oracle=`` costs one Python call
@@ -568,7 +588,9 @@ def verify_random(
     give identical trial sequences and byte-identical reports.  Generating
     them takes time linear in ``trials``, and the extra memory beyond the
     input columns is about two chunks of 2**24 stream bits (at least 64
-    trials each) plus one column.  ``trials * len(free wires)``, counting at
+    trials each), and up to about 2.5 columns while the columns become ints
+    (45 MB over 18.3 MB columns at the cap with 7 free wires; see
+    ``_random_columns``).  ``trials * len(free wires)``, counting at
     least one wire, is capped at ``RANDOM_INPUT_BIT_CAP``; larger requests
     raise ``ValueError``.  At the cap, generating the inputs took 4.2-5.6 s
     and peaked at 155-190 MB RSS for 128 MiB of columns (7, 64 and 2049

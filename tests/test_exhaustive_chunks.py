@@ -12,6 +12,7 @@ import pytest
 from qadd import (
     BlockParams,
     Circuit,
+    ccx,
     synth_combined,
     synth_fanout_tree,
     synth_ripple,
@@ -102,6 +103,20 @@ def test_default_chunks_match_one_chunk_on_a_broken_fanout_tree(index):
     free = list(range(21))
     report = _assert_chunked_matches_one_chunk(circuit, free, None, packed)
     assert report.total_cases == 1 << 21 and not report.ok
+
+
+def test_default_chunks_match_one_chunk_when_only_the_last_chunks_fail():
+    # A Toffoli on free wires 19 and 20, bits 3 and 4 of the chunk index,
+    # ahead of the tree breaks only chunks 24 .. 31: the first 24 pass.
+    good = _tree_20()
+    circuit = Circuit(good.wire_count, gates=[ccx(19, 20, 1), *good.gates])
+    _, packed = fanout_oracle(circuit, 0, range(1, 21))
+    report = _assert_chunked_matches_one_chunk(circuit, list(range(21)), None, packed)
+    assert len(report.failures) == MAX_RECORDED_FAILURES and not report.ancilla_violations
+    first = 24 << 16
+    assert [inp for inp, _, _ in report.failures] == [
+        tuple(case >> w & 1 for w in range(21)) for case in range(first, first + MAX_RECORDED_FAILURES)
+    ]
 
 
 def test_an_oracle_bad_only_in_the_last_chunk_is_refused():
