@@ -9,14 +9,16 @@ single state (one 0/1 int per wire) is a one-case packed run whose columns
 are its bits; ``run`` and ``apply_gate`` are just that, and a per-case
 oracle is made packed before it is checked.
 
-``_check_columns`` is the one diff-and-report path.  ``verify_random``
-calls it once over all its trials, and ``verify_exhaustive`` once per
-chunk of 2**16 cases, so a packed oracle is called once per chunk, not
-once per request, and each gate, oracle step and diff works on 8 KiB
-columns that stay in the CPU cache.  On the benchmark's exhaustive
-workload (ripple n <= 11, combined n = 8, init blocks and fan-out trees up
-to the 24-wire cap) that took a pass from about 2.5 to 0.55 s and its peak
-RSS from 175 to 22 MB, against one chunk of up to 2 MiB per column.
+``_check_columns`` is the one check loop of a request: it runs, checks
+and diffs each chunk of cases it is handed and builds the one report.
+``verify_random`` hands it all its trials as one chunk, and
+``verify_exhaustive`` its cases in chunks of 2**16, so a packed oracle is
+called once per chunk, not once per request, and each gate, oracle step
+and diff works on 8 KiB columns that stay in the CPU cache.  On the
+benchmark's exhaustive workload (ripple n <= 11, combined n = 8, init
+blocks and fan-out trees up to the 24-wire cap) that took a pass from
+about 2.5 to 0.55 s and its peak RSS from 175 to 22 MB, against one chunk
+of up to 2 MiB per column.
 Deciding each chunk by one equality test per column, and building a diff
 only for a chunk that fails, then took the pass from 0.58 to 0.41 s
 (medians of six alternating in-process rounds, CPython 3.11 on a 2-vCPU
@@ -26,6 +28,7 @@ Xeon).
 from __future__ import annotations
 
 import json
+import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -373,12 +376,16 @@ def _check_result(
     is decoded: exactly ``wire_count`` entries, and each data-wire entry an
     ``int`` (bools and other subclasses count) from 0 to 2**bits - 1, one
     column of ``bits`` cases, so each entry of a per-case result is a bit.
-    Ancilla entries are never read.  Returns the data-wire entries in order."""
+    Ancilla entries are never read.  Returns the data-wire entries in order
+    as exact ints: ``operator.index`` copies a subclass's value without
+    calling any of its methods, so none of them can decide a verdict."""
     if len(result) != wire_count:
         raise ValueError(f"oracle returned {len(result)} entries for {wire_count} wires")
     values = [result[w] for w in data_wires]
+    if {*map(type, values)} - {int}:
+        values = [operator.index(v) if isinstance(v, int) else v for v in values]
     for w, v in zip(data_wires, values):
-        if not isinstance(v, int) or v < 0 or v >> bits:
+        if type(v) is not int or v < 0 or v >> bits:
             got = "an int out of range" if isinstance(v, int) else repr(v)
             kind = "a bit" if bits == 1 else f"an int from 0 to 2**{bits} - 1"
             raise ValueError(f"oracle entry for wire {w} is {got}, not {kind}")
@@ -419,61 +426,54 @@ def _one_oracle(
 
 def _check_columns(
     circuit: Circuit,
-    in_cols: list[int],
-    n_cases: int,
+    chunks: Iterable[tuple[list[int], int]],
     packed_oracle: PackedOracle,
     seed: int | None,
-    room: tuple[int, int] = (MAX_RECORDED_FAILURES, MAX_RECORDED_FAILURES),
 ) -> VerifyReport:
-    """Run ``circuit`` on packed input columns and diff its data wires with
-    the oracle's.  The ancilla rule lives here only: every ancilla output
-    must be 0, the oracle's ancilla columns are never read, and a failure
-    records 0 as each ancilla's expected bit.  ``room`` caps the failures
-    and the ancilla violations decoded, earliest cases first.
+    """The one check loop of a request: run ``circuit`` on each chunk of
+    packed input columns, ``(in_cols, n_cases)``, and diff its data wires
+    with the oracle's.  The report counts the cases of every chunk, and its
+    failures and ancilla violations are those of the earliest cases, in
+    order, up to ``MAX_RECORDED_FAILURES`` each.  The ancilla rule lives
+    here only: every ancilla output must be 0, the oracle's ancilla entries
+    are never read, and a failure records 0 as each ancilla's expected bit.
 
-    Whether any case fails is decided first, by one equality test per data
-    wire of its out column against the oracle's; the XOR diff that locates
-    the failing cases is built only when some column differs.  On a passing
-    chunk of 2**16 cases that saves an 8 KiB XOR per wire.  The test is
-    ``int.__eq__``, not ``==``: ``_check_result`` accepts int subclasses,
-    and with ``==`` an entry whose own ``__eq__`` always says True would
-    pass a broken circuit."""
+    ``_check_result`` hands back the oracle's data-wire columns as exact
+    ints, so one list comparison decides a chunk, and the XOR diff that
+    locates its failing cases is built only when some column differs.  On
+    a passing chunk of 2**16 cases that saves an 8 KiB XOR per wire."""
     wc = circuit.wire_count
-    out_cols = run_packed(circuit, in_cols, n_cases)
     data_wires = [w for w in range(wc) if w not in circuit.ancilla]
-    exp_cols = packed_oracle(list(in_cols), n_cases)
-    expected = _check_result(exp_cols, data_wires, wc, n_cases)
-
-    diff = 0
-    if not all(map(int.__eq__, [out_cols[w] for w in data_wires], expected)):
-        for w in data_wires:
-            diff |= exp_cols[w] ^ out_cols[w]
-    viol = 0
-    for w in circuit.ancilla:
-        viol |= out_cols[w]
-
+    total = 0
     failures: list[tuple] = []
     violations: list[tuple] = []
-    failed = _iter_set_bits(diff, room[0])
-    violated = _iter_set_bits(viol, room[1])
-    if failed or violated:
-        in_bufs = [_column_bytes(c, n_cases) for c in in_cols]
-        out_bufs = [_column_bytes(c, n_cases) for c in out_cols]
-        exp_bufs = [_column_bytes(c, n_cases) for c in exp_cols]
-        for case in failed:
-            inp = _case_bits(in_bufs, case, wc)
-            exp = _case_bits(exp_bufs, case, wc)
-            for w in circuit.ancilla:
-                exp[w] = 0
-            failures.append((tuple(inp), tuple(exp), tuple(_case_bits(out_bufs, case, wc))))
-        for case in violated:
-            violations.append(tuple(_case_bits(in_bufs, case, wc)))
-    return VerifyReport(
-        total_cases=n_cases,
-        failures=tuple(failures),
-        ancilla_violations=tuple(violations),
-        seed=seed,
-    )
+    for in_cols, n_cases in chunks:
+        total += n_cases
+        out_cols = run_packed(circuit, in_cols, n_cases)
+        expected = _check_result(packed_oracle(list(in_cols), n_cases), data_wires, wc, n_cases)
+        diff = 0
+        if [out_cols[w] for w in data_wires] != expected:
+            for w, v in zip(data_wires, expected):
+                diff |= v ^ out_cols[w]
+        viol = 0
+        for w in circuit.ancilla:
+            viol |= out_cols[w]
+        failed = _iter_set_bits(diff, MAX_RECORDED_FAILURES - len(failures))
+        violated = _iter_set_bits(viol, MAX_RECORDED_FAILURES - len(violations))
+        if failed or violated:
+            exp_cols = [0] * wc
+            for w, v in zip(data_wires, expected):
+                exp_cols[w] = v
+            bufs = [
+                [_column_bytes(c, n_cases) for c in cols] for cols in (in_cols, exp_cols, out_cols)
+            ]
+            failures += [tuple(tuple(_case_bits(b, case, wc)) for b in bufs) for case in failed]
+            violations += [tuple(_case_bits(bufs[0], case, wc)) for case in violated]
+            del exp_cols, bufs
+        # This chunk's columns, and a failing chunk's buffers above, are
+        # freed before the next chunk's run builds its own.
+        del out_cols, expected
+    return VerifyReport(total, tuple(failures), tuple(violations), seed)
 
 
 def _check_exhaustive_request(width: int) -> None:
@@ -528,12 +528,12 @@ def verify_exhaustive(
     built.
 
     Case ``c`` sets free wire ``i`` to bit ``i`` of ``c``.  The cases run in
-    chunks of ``_EXHAUSTIVE_CHUNK_CASES`` (2**16, 8 KiB per column), each
-    one ``_check_columns`` call: the low 16 free wires take one truth table
-    that every chunk shares, and each higher free wire is constant in a
-    chunk.  The report is the one a single pass over all cases would give,
-    and every chunk's oracle result is checked, also once the report is
-    full.  At the cap of 2**24 cases, the fan-out tree t = 23, f = 2 is
+    chunks of ``_EXHAUSTIVE_CHUNK_CASES`` (2**16, 8 KiB per column), all
+    through one ``_check_columns`` loop: the low 16 free wires take one
+    truth table that every chunk shares, and each higher free wire is
+    constant in a chunk.  The report is the one a single pass over all
+    cases would give, and every chunk's oracle result is checked, also once
+    the report is full.  At the cap of 2**24 cases, the fan-out tree t = 23, f = 2 is
     checked in 32 ms in process (44 ms when every chunk built its diff),
     and ``qadd verify --kind fanout-tree --t 23 --f 2 --exhaustive`` took
     0.16 s (0.20 s) and peaked at 18 MB RSS, most of it start-up and
@@ -558,19 +558,17 @@ def verify_exhaustive(
     n_cases = 1 << len(low)
     low_cols = _enumeration_columns(circuit, low)
     ones = (1 << n_cases) - 1
-    failures: list[tuple] = []
-    violations: list[tuple] = []
-    # Chunk j holds cases j * n_cases .. (j + 1) * n_cases - 1, so bit i of
-    # j is the value of high[i] in all of them.
-    for j in range(1 << len(high)):
-        cols = list(low_cols)
-        for i, w in enumerate(high):
-            cols[w] = ones if j >> i & 1 else 0
-        room = (MAX_RECORDED_FAILURES - len(failures), MAX_RECORDED_FAILURES - len(violations))
-        chunk = _check_columns(circuit, cols, n_cases, packed_oracle, None, room)
-        failures += chunk.failures
-        violations += chunk.ancilla_violations
-    return VerifyReport(1 << len(free), tuple(failures), tuple(violations))
+
+    def chunks() -> Iterator[tuple[list[int], int]]:
+        # Chunk j holds cases j * n_cases .. (j + 1) * n_cases - 1, so bit i
+        # of j is the value of high[i] in all of them.
+        for j in range(1 << len(high)):
+            cols = list(low_cols)
+            for i, w in enumerate(high):
+                cols[w] = ones if j >> i & 1 else 0
+            yield cols, n_cases
+
+    return _check_columns(circuit, chunks(), packed_oracle, None)
 
 
 def verify_random(
@@ -604,4 +602,4 @@ def verify_random(
     _check_random_request(trials, len(free), seed)
     packed_oracle = _one_oracle(circuit, oracle, packed_oracle)
     cols = _random_columns(circuit, free, trials, seed)
-    return _check_columns(circuit, cols, trials, packed_oracle, seed)
+    return _check_columns(circuit, [(cols, trials)], packed_oracle, seed)

@@ -1,12 +1,12 @@
 """A chunk's verdict is decided by exact int equality.
 
-``_check_columns`` first tests each data wire's out column against the
-oracle's with ``int.__eq__``, and builds the XOR diff only when some column
-differs.  The oracle entries may be any ``int`` subclass, so the verdict
-must not rest on an entry's own ``__eq__`` or ``__ne__``: a broken circuit
-is rejected whatever they return.  ``reference_check_columns`` is the XOR
-diff over every data wire that ``_check_columns`` ran before the equality
-test, kept as the reference.
+``_check_result`` hands ``_check_columns`` the oracle's data-wire columns
+as exact ints, so one list comparison decides a chunk, and the XOR diff is
+built only when some column differs.  The oracle entries may be any
+``int`` subclass, so the verdict must not rest on any method of an entry,
+such as its own ``__eq__``, ``__ne__`` or ``__xor__``: a broken circuit is
+rejected whatever they return.  ``reference_check_columns`` is the one-pass
+XOR diff over every data wire of a whole request, kept as the reference.
 """
 
 import pytest
@@ -38,7 +38,7 @@ from qadd.sim import (
 MAX_WIRES = 7
 
 
-def reference_check_columns(circuit, in_cols, n_cases, packed_oracle, seed, room):
+def reference_check_columns(circuit, in_cols, n_cases, packed_oracle, seed):
     """``_check_columns`` as one XOR diff over every data wire."""
     wc = circuit.wire_count
     out_cols = run_packed(circuit, in_cols, n_cases)
@@ -55,18 +55,19 @@ def reference_check_columns(circuit, in_cols, n_cases, packed_oracle, seed, room
     out_bufs = [_column_bytes(c, n_cases) for c in out_cols]
     exp_bufs = [_column_bytes(c, n_cases) for c in exp_cols]
     failures = []
-    for case in _iter_set_bits(diff, room[0]):
+    for case in _iter_set_bits(diff, MAX_RECORDED_FAILURES):
         exp = _case_bits(exp_bufs, case, wc)
         for w in circuit.ancilla:
             exp[w] = 0
         failures.append(
             (tuple(_case_bits(in_bufs, case, wc)), tuple(exp), tuple(_case_bits(out_bufs, case, wc)))
         )
-    violations = [tuple(_case_bits(in_bufs, case, wc)) for case in _iter_set_bits(viol, room[1])]
+    violated = _iter_set_bits(viol, MAX_RECORDED_FAILURES)
+    violations = [tuple(_case_bits(in_bufs, case, wc)) for case in violated]
     return VerifyReport(n_cases, tuple(failures), tuple(violations), seed)
 
 
-class _Liar(int):
+class _EqLiar(int):
     """An int that claims to equal, and never to differ from, anything."""
 
     def __eq__(self, other):
@@ -78,9 +79,18 @@ class _Liar(int):
     __hash__ = int.__hash__
 
 
-def _lying(packed):
+class _XorLiar(int):
+    """An int whose XOR with anything is 0."""
+
+    def __xor__(self, other):
+        return 0
+
+    __rxor__ = __xor__
+
+
+def _lying(packed, liar):
     def wrapped(cols, n_cases):
-        return [_Liar(c) for c in packed(cols, n_cases)]
+        return [liar(c) for c in packed(cols, n_cases)]
 
     return wrapped
 
@@ -107,14 +117,15 @@ def _seeded(circuit, packed):
     return verify_random(circuit, packed_oracle=packed, trials=500, seed=11)
 
 
+@pytest.mark.parametrize("liar", [_EqLiar, _XorLiar], ids=["eq", "xor"])
 @pytest.mark.parametrize("verify", [_exhaustive, _seeded], ids=["exhaustive", "random"])
 @pytest.mark.parametrize("broken", [False, True], ids=["good", "broken"])
-def test_a_lying_eq_gets_the_plain_int_report_on_ripple_3(verify, broken):
+def test_a_lying_eq_gets_the_plain_int_report_on_ripple_3(verify, broken, liar):
     circuit = _ripple_3_without_first_toffoli() if broken else synth_ripple(3)
     _, packed = adder_oracle(circuit)
     want = verify(circuit, packed)
     assert want.ok is not broken
-    got = verify(circuit, _lying(packed))
+    got = verify(circuit, _lying(packed, liar))
     assert got == want and got.to_json() == want.to_json()
 
 
@@ -175,11 +186,23 @@ def _check_requests(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_check_requests(), st.integers(0, 1 << 32) | st.none())
-def test_check_columns_matches_the_xor_diff_reference(request, seed):
+@given(_check_requests(), st.integers(0, 1 << 32) | st.none(), st.data())
+def test_check_columns_matches_the_xor_diff_reference(request, seed, data):
+    # Up to three cut points split the request's cases into chunks, so the
+    # failure and violation caps fill across chunks.
     circuit, in_cols, n_cases, packed = request
-    rooms = [(r, MAX_RECORDED_FAILURES - r) for r in range(MAX_RECORDED_FAILURES + 1)]
-    for room in rooms + [(MAX_RECORDED_FAILURES, MAX_RECORDED_FAILURES)]:
-        got = _check_columns(circuit, in_cols, n_cases, packed, seed, room)
-        want = reference_check_columns(circuit, in_cols, n_cases, packed, seed, room)
-        assert got == want and got.to_json() == want.to_json()
+    cuts = sorted(data.draw(st.sets(st.integers(0, n_cases - 1), max_size=3)) - {0})
+    bounds = list(zip([0, *cuts], [*cuts, n_cases]))
+    chunks = [([c >> lo & (1 << hi - lo) - 1 for c in in_cols], hi - lo) for lo, hi in bounds]
+    whole = packed(in_cols, n_cases)
+    calls = iter(zip(bounds, chunks))
+
+    def chunk_oracle(cols, n):
+        # the whole request's oracle columns, read at the next chunk's cases
+        (lo, hi), (chunk_cols, chunk_cases) = next(calls)
+        assert (cols, n) == (chunk_cols, chunk_cases)
+        return [c >> lo & (1 << hi - lo) - 1 for c in whole]
+
+    got = _check_columns(circuit, chunks, chunk_oracle, seed)
+    want = reference_check_columns(circuit, in_cols, n_cases, packed, seed)
+    assert got == want and got.to_json() == want.to_json()

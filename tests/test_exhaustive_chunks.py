@@ -32,7 +32,7 @@ from test_mutation import _without
 
 def _one_chunk(circuit, free, packed):
     cols = _enumeration_columns(circuit, free)
-    return _check_columns(circuit, cols, 1 << len(free), packed, None)
+    return _check_columns(circuit, [(cols, 1 << len(free))], packed, None)
 
 
 def _assert_chunked_matches_one_chunk(circuit, free, per_case, packed):

@@ -97,6 +97,16 @@ class Column(int):
     """An int subclass, as a caller's packed oracle might return."""
 
 
+class InRangeLiar(int):
+    """An int that claims to be at least 0 and to fit in any width."""
+
+    def __lt__(self, other):
+        return False
+
+    def __rshift__(self, other):
+        return 0
+
+
 def test_bool_bits_are_read_as_bits():
     report = verify_random(RIPPLE_2, oracle=lambda s: [bool(v) for v in PER_CASE(s)], trials=100)
     assert report.ok
@@ -114,26 +124,40 @@ def test_int_subclass_entries_out_of_range_are_refused_on_both_paths():
         verify_exhaustive(RIPPLE_2, oracle=lambda s: [Bit(0)] * 3 + [Column(2), Bit(0)])
     with pytest.raises(ValueError, match="wire 0 is an int out of range"):
         verify_exhaustive(RIPPLE_2, packed_oracle=lambda cols, n: [Column(-1)] * 5)
+    # the range is checked on the entry's value, not through its methods
+    with pytest.raises(ValueError, match="wire 0 is an int out of range"):
+        verify_exhaustive(RIPPLE_2, packed_oracle=lambda cols, n: [InRangeLiar(-1)] * 5)
+    with pytest.raises(ValueError, match="wire 0 is an int out of range, not a bit"):
+        verify_exhaustive(RIPPLE_2, oracle=lambda s: [InRangeLiar(-1)] * 5)
 
 
 def test_ancilla_entries_are_never_read():
-    circuit = synth_combined(BlockParams(8, 2))
-    per_case, packed = adder_oracle(circuit)
+    # Without its first gate, combined (8, 2) fails: the failures are
+    # decoded with 0 as each ancilla's expected bit, whatever the oracle
+    # put there.
+    good = synth_combined(BlockParams(8, 2))
+    broken = Circuit(good.wire_count, good.ancilla, good.role_map, good.gates[1:])
+    for circuit, entries in [(good, [None]), (broken, [None, -1])]:
+        per_case, packed = adder_oracle(circuit)
+        want = verify_random(circuit, packed_oracle=packed, trials=300, seed=4)
+        assert want.ok is (circuit is good)
+        for entry in entries:
 
-    def per_case_none(state):
-        out = per_case(state)
-        for w in circuit.ancilla:
-            out[w] = None
-        return out
+            def per_case_entry(state):
+                out = per_case(state)
+                for w in circuit.ancilla:
+                    out[w] = entry
+                return out
 
-    def packed_none(cols, n_cases):
-        out = packed(cols, n_cases)
-        for w in circuit.ancilla:
-            out[w] = None
-        return out
+            def packed_entry(cols, n_cases):
+                out = packed(cols, n_cases)
+                for w in circuit.ancilla:
+                    out[w] = entry
+                return out
 
-    assert verify_random(circuit, oracle=per_case_none, trials=300, seed=4).ok
-    assert verify_random(circuit, packed_oracle=packed_none, trials=300, seed=4).ok
+            for oracles in ({"oracle": per_case_entry}, {"packed_oracle": packed_entry}):
+                got = verify_random(circuit, trials=300, seed=4, **oracles)
+                assert got == want and got.to_json() == want.to_json()
 
 
 def test_the_per_case_path_keeps_every_expected_bit():

@@ -564,10 +564,9 @@ def test_per_case_oracle_matches_reference_loop(n_cases, broken):
     free = [w for w in range(circuit.wire_count) if w not in circuit.ancilla]
     in_cols = _random_columns(circuit, free, n_cases, seed=n_cases)
     reference = _expected_columns_reference(circuit, in_cols, n_cases, per_case)
-    got = _check_columns(
-        circuit, in_cols, n_cases, _packed_from_per_case(circuit, per_case), seed=n_cases
-    )
-    want = _check_columns(circuit, in_cols, n_cases, lambda cols, n: reference, seed=n_cases)
+    chunks = [(in_cols, n_cases)]
+    got = _check_columns(circuit, chunks, _packed_from_per_case(circuit, per_case), seed=n_cases)
+    want = _check_columns(circuit, chunks, lambda cols, n: reference, seed=n_cases)
     assert got == want and got.to_json() == want.to_json()
     assert got.ok is not broken
     if broken and n_cases >= 64:
