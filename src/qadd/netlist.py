@@ -202,8 +202,13 @@ def parse_netlist(text: str) -> Circuit:
         if head == "#":  # a role line
             if len(tokens) != 4:
                 raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
-            (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)
-            label = tokens[3]
+            _, _, tok, label = tokens
+            try:
+                if not (tok.isascii() and tok.isdigit()):
+                    raise ValueError(tok)
+                wire = int(tok)
+            except ValueError:  # a bad token, or one longer than int() reads
+                (wire,) = _int_tokens(tokens[2:3], lineno, raw, 2)  # raises at it
             if wire in roles:
                 raise NetlistError(lineno, 1, f"duplicate role for wire {wire}")
             if wire >= wire_count:

@@ -78,12 +78,6 @@ _BYTE_SHIFTS = [
     for s in range(8)
 ]
 
-#: Delta-swap rounds of an 8 x 8 bit transpose: (distance, mask of one lane).
-_TRANSPOSE8_ROUNDS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0xF0F0F0F0))
-
-#: 8-byte lanes per pass of ``_transpose_bytes8`` (32 KiB).
-_TRANSPOSE8_LANES = 1 << 12
-
 
 def splitmix64(seed: int) -> Iterator[int]:
     """Infinite stream of 64-bit words from the splitmix64 generator.
@@ -243,31 +237,25 @@ def _splitmix64_block(seed: int, start: int, count: int) -> bytearray:
     return out
 
 
-def _transpose_bytes8(lanes: bytes) -> bytearray:
-    """Transpose the 8 x 8 bit matrix in every 8-byte lane of ``lanes``
-    (not empty): bit ``b`` of byte ``r`` becomes bit ``r`` of byte ``b``.
+def _transpose_planes8(rows: list[int], size: int) -> list[bytearray]:
+    """Transpose the 8 x 8 bit matrix of every byte lane of eight ``size``-byte
+    rows, in place in ``rows``: bit ``b`` of byte ``L`` of row ``r`` becomes
+    bit ``r`` of byte ``L`` of plane ``b``.
 
-    Up to ``_TRANSPOSE8_LANES`` lanes go at once, by the lane trick of
-    ``_splitmix64_block``: each round is one delta swap over one int
-    (Warren, *Hacker's Delight*, 2nd ed., section 7-3), and no masked bit
-    moves out of its 64-bit lane.  Passes of that size keep the masks and
-    temporaries small, whatever the length of ``lanes``.
+    Three block swaps between rows ``r`` and ``r + d``, for d = 4, 2, 1
+    (Warren, *Hacker's Delight*, 2nd ed., section 7-3), each over whole
+    rows at once; the byte masks keep every bit in its lane.  The planes
+    are bytearrays because a bytearray slice assigned into a bytearray is
+    copied once, where a bytes slice is first copied into a new bytearray.
     """
-    size = 8 * min(len(lanes) // 8, _TRANSPOSE8_LANES)
-    rounds = [
-        (shift, int.from_bytes(mask.to_bytes(8, "little") * (size // 8), "little"))
-        for shift, mask in _TRANSPOSE8_ROUNDS
-    ]
-    out = bytearray(len(lanes))
-    view = memoryview(lanes)
-    for start in range(0, len(lanes), size):
-        piece = view[start : start + size]
-        z = int.from_bytes(piece, "little")
-        for shift, mask in rounds:
-            t = (z ^ (z >> shift)) & mask
-            z ^= t ^ (t << shift)
-        out[start : start + size] = z.to_bytes(len(piece), "little")
-    return out
+    for d, byte in ((4, b"\x0f"), (2, b"\x33"), (1, b"\x55")):
+        mask = int.from_bytes(byte * size, "little")
+        for r in range(8):
+            if not r & d:
+                t = (rows[r] >> d ^ rows[r + d]) & mask
+                rows[r + d] ^= t
+                rows[r] ^= t << d
+    return [bytearray(row.to_bytes(size, "little")) for row in rows]
 
 
 def _random_columns(
@@ -281,23 +269,26 @@ def _random_columns(
     bits (at least 64 trials), each drawn by one ``_splitmix64_block``
     call.  In a chunk, trials ``8g .. 8g+7`` are the 8 rows of group ``g``;
     a row's bytes in every group are strided byte slices of the stream,
-    shifted by the row's sub-byte offset through translate tables, so the
-    chunk is never one int.  The rows are laid out as one 8 x 8 bit matrix
-    per (byte, group) lane, ``_transpose_bytes8`` transposes thousands of
-    lanes per big-int operation, and each wire's column piece is one
-    strided slice of the result.
+    shifted by the row's sub-byte offset through translate tables and
+    joined into one int per row, so the chunk is never one int.  Byte
+    ``q*groups + g`` of row ``r`` holds wires ``8q .. 8q+7`` of trial
+    ``8g + r``; ``_transpose_planes8`` transposes every such byte lane
+    across the eight rows at once, and wire ``8q + b``'s column piece is
+    then the contiguous slice ``q*groups .. (q+1)*groups`` of plane ``b``.
     So the Python-level work is linear in the wires per chunk, with no
     loop over trials, and the time is linear in ``trials``.
 
     Each column is written in place into a byte buffer of its final size
     and swapped for its int at the end.  Apart from the columns, the extra
-    memory is about two chunk-sized buffers (2 MiB each, or 64 trials'
-    worth above 2**18 wires) while a chunk is cut into rows and
-    transposed.  The swap costs more than one column: at the cap, RSS went
-    from 144.5 MB before it to a peak of 189.5 MB with 7 free wires (18.3
-    MB columns, about 2.5 columns more) and from 152.3 to 160.1 MB with 64
-    (2 MB columns); with 2049 free wires the peak stayed that of the chunks
-    (VmRSS and VmHWM of ``/proc/self/status``, CPython 3.11, glibc).
+    memory is about two chunks (2 MiB each, or 64 trials' worth above
+    2**18 wires): the stream and the rows while a chunk is cut, then the
+    rows and their planes, with byte masks and temporaries of an eighth
+    of a chunk each.  The swap costs more than one column: at the cap, RSS
+    went from 144.5 MB before it to a peak of 189.5 MB with 7 free wires
+    (18.3 MB columns, about 2.5 columns more) and from 150.1 to 157.4 MB
+    with 64 (2 MB columns); with 2049 free wires the peak, 153.5 MB, stayed
+    that of the chunks (VmRSS and VmHWM of ``/proc/self/status``, CPython
+    3.11, glibc).
     """
     cols = [0] * circuit.wire_count
     width = len(free)
@@ -323,21 +314,22 @@ def _random_columns(
         # the high ones from offset ``groups``.  A row's last byte also
         # holds bits of the next row, which land only in wires past the last.
         size = row_bytes * groups
-        matrix = bytearray(8 * size)
+        rows = []
         for r in range(8):
             o, s = divmod(r * width, 8)
             lanes = b"".join([stream[o + q : o + q + span : width] for q in range(row_bytes + 1)])
             down, up = _BYTE_SHIFTS[s]
             lo = int.from_bytes(lanes[:size].translate(down), "little")
             hi = int.from_bytes(lanes[groups:].translate(up), "little")
-            matrix[r::8] = (lo | hi).to_bytes(size, "little")
-        del stream
-        out = _transpose_bytes8(matrix)
-        del matrix
+            rows.append(lo | hi)
+        del stream, lanes
+        planes = _transpose_planes8(rows, size)
+        del rows
         at = first // 8
         for j, buf in enumerate(bufs):
             q, b = divmod(j, 8)
-            buf[at : at + groups] = out[8 * q * groups + b : 8 * (q + 1) * groups : 8]
+            buf[at : at + groups] = planes[b][q * groups : (q + 1) * groups]
+        del planes  # before the next chunk's stream, or the final peak grows
     # The rows of the last group past the last trial read stream bits beyond
     # it, which land in the last byte of each column.
     last = (1 << (trials - 1) % 8 + 1) - 1
@@ -590,9 +582,9 @@ def verify_random(
     (45 MB over 18.3 MB columns at the cap with 7 free wires; see
     ``_random_columns``).  ``trials * len(free wires)``, counting at
     least one wire, is capped at ``RANDOM_INPUT_BIT_CAP``; larger requests
-    raise ``ValueError``.  At the cap, generating the inputs took 4.2-5.6 s
-    and peaked at 155-190 MB RSS for 128 MiB of columns (7, 64 and 2049
-    free wires, CPython 3.11 on a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
+    raise ``ValueError``.  At the cap, generating the inputs took 2.2-3.2 s
+    (median 2.3 s) and peaked at 153-190 MB RSS for 128 MiB of columns (7,
+    64 and 2049 free wires, CPython 3.11 on a 2-vCPU Xeon).  Pass exactly one of ``oracle=`` and
     ``packed_oracle=``.  The free wires, ``trials``, ``seed``, the cap and
     the oracle pair are all checked, in that order, before any input is
     generated.  ``packed_oracle=`` is the fast path; ``verify_exhaustive``

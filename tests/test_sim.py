@@ -42,7 +42,7 @@ from qadd.sim import (
     _packed_from_per_case,
     _random_columns,
     _splitmix64_block,
-    _transpose_bytes8,
+    _transpose_planes8,
 )
 
 
@@ -471,13 +471,17 @@ def _transpose8_reference(lane):
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 100, 4097])
-def test_transpose_bytes8_matches_per_bit_reference(count):
+def test_transpose_planes8_matches_per_bit_reference(count):
+    # Row r holds byte r of every 8-byte lane, and plane b byte b of its
+    # transpose.
     rng = random.Random(count)
     lanes = b"\xff" * 8 + b"\x01\x02\x04\x08\x10\x20\x40\x80" + rng.randbytes(8 * count)
     want = b"".join(_transpose8_reference(lanes[i : i + 8]) for i in range(0, len(lanes), 8))
-    got = _transpose_bytes8(lanes)
-    assert got == want
-    assert _transpose_bytes8(got) == lanes
+    size = len(lanes) // 8
+    planes = _transpose_planes8([int.from_bytes(lanes[r::8], "little") for r in range(8)], size)
+    assert planes == [want[b::8] for b in range(8)]
+    back = _transpose_planes8([int.from_bytes(p, "little") for p in planes], size)
+    assert back == [lanes[r::8] for r in range(8)]
 
 
 @pytest.mark.parametrize(
