@@ -415,7 +415,10 @@ def _read_labels(role_map: Mapping[int, str]) -> tuple[dict, dict]:
         prefix = label.rstrip("0123456789")
         index = label[len(prefix) :]
         if 0 < len(index) <= 7 and (index[0] != "0" or index == "0"):
-            registers.setdefault(prefix, {})[int(index)] = w
+            register = registers.get(prefix)
+            if register is None:
+                register = registers[prefix] = {}
+            register[int(index)] = w
         else:
             named[label] = w
     return registers, named

@@ -36,14 +36,20 @@ its line number is looked up only then.  The gates are then laid out in
 C from that table, so repeats share one immutable ``Gate`` and a repeated
 line costs no Python bytecode.
 
-Export writes every wire id from a name table: each id's decimal text is
-made once per call, not once per occurrence.  The table is a list over
-every wire only when the export writes at least one gate or role line
-per wire, so the list never takes more memory than those lines; otherwise
-it is a dict that names each id on first use.  So an export costs O(ids
-written), not O(wire count), and a wide circuit with few gates stays
-small.  CNOT, Toffoli and NOT lines are one
-f-string each and the variadic kinds one ``join``.
+Each direction has one name table, chosen by the same rule: it lists
+every wire only when the document has at least one line per wire, so it
+never outweighs those lines, and a wide circuit with few lines stays
+small.  Export writes every wire id from it, so each id's decimal text is
+made once per call, not once per occurrence; below the rule it is a dict
+that names each id on first use, so an export costs O(ids written), not
+O(wire count).  The parse reads a distinct gate line's ids through the
+inverse table, from each wire's decimal text to its id, which exists when
+the body has at least as many distinct lines as there are wires.  A token
+it lacks (a bad token, ``007``, an id out of range), and every token
+below the rule, is read as text, as the check above describes.  Role lines
+are written straight from the circuit's registers, one string per wire,
+in wire order.  CNOT, Toffoli and NOT lines are one f-string each and the
+variadic kinds one ``join``.
 """
 
 from __future__ import annotations
@@ -92,7 +98,8 @@ class _Names(dict):
 def export_netlist(circuit: Circuit) -> str:
     wire_count = circuit.wire_count
     gates = circuit.gates
-    roles = sorted(circuit.role_map.items())
+    registers, named = circuit._roles
+    role_count = len(named) + sum(map(len, registers.values()))  # one label per wire
     ancilla = sorted(circuit.ancilla)
     # A list index is faster than a dict lookup (a dict alone made the
     # adders' round trip about 20 % slower), but a list of every wire's name
@@ -100,14 +107,17 @@ def export_netlist(circuit: Circuit) -> str:
     # line is a string no smaller than a name, so the list never outweighs
     # the lines the export holds anyway.  A wide circuit with fewer lines
     # names just the wires it writes.
-    if wire_count <= len(gates) + len(roles):
+    if wire_count <= len(gates) + role_count:
         names = list(map(str, range(wire_count)))
     else:
         names = _Names()
     anc = " ".join(["ancilla", *map(names.__getitem__, ancilla)])
     lines = [MAGIC, f"qubits {wire_count}", anc]
-    for w, label in roles:
-        lines.append(f"# role {names[w]} {label}")
+    # The registers hold each label's wire, so the role lines are written
+    # from them, keyed by wire, with no label map built and sorted first.
+    roles = {w: f"# role {names[w]} {p}{i}" for p, reg in registers.items() for i, w in reg.items()}
+    roles.update({w: f"# role {names[w]} {label}" for label, w in named.items()})
+    lines += map(roles.__getitem__, sorted(roles))
     append = lines.append
     join = " ".join
     for kind, controls, targets in gates:
@@ -180,26 +190,11 @@ def parse_netlist(text: str) -> Circuit:
         if not tokens:
             continue
         head = tokens[0]
-        if head == "#" and tokens[1:2] != ["role"]:
-            continue  # other comments are ignored
-
-        if head == "qubits" and wire_count is None:
-            ids = _int_tokens(tokens[1:], lineno, raw, 1)
-            if len(ids) != 1 or ids[0] < 1:
-                raise NetlistError(lineno, 1, "qubits line needs one positive count")
-            if ids[0] > WIRE_CAP:
-                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
-            wire_count = ids[0]
-            continue
-
-        if wire_count is None:
-            raise NetlistError(lineno, 1, "qubits line must precede everything else")
-
-        if head in _SPECS:
-            start = lineno - 1
-            break
-
-        if head == "#":  # a role line
+        if head == "#":
+            if len(tokens) < 2 or tokens[1] != "role":
+                continue  # other comments are ignored
+            if wire_count is None:
+                raise NetlistError(lineno, 1, "qubits line must precede everything else")
             if len(tokens) != 4:
                 raise NetlistError(lineno, 1, "role line must be '# role WIRE LABEL'")
             _, _, tok, label = tokens
@@ -218,6 +213,22 @@ def parse_netlist(text: str) -> Circuit:
             roles[wire] = label
             labels.add(label)
             continue
+
+        if head == "qubits" and wire_count is None:
+            ids = _int_tokens(tokens[1:], lineno, raw, 1)
+            if len(ids) != 1 or ids[0] < 1:
+                raise NetlistError(lineno, 1, "qubits line needs one positive count")
+            if ids[0] > WIRE_CAP:
+                raise NetlistError(lineno, 1, f"{ids[0]} qubits exceed the cap of {WIRE_CAP}")
+            wire_count = ids[0]
+            continue
+
+        if wire_count is None:
+            raise NetlistError(lineno, 1, "qubits line must precede everything else")
+
+        if head in _SPECS:
+            start = lineno - 1
+            break
 
         if head == "ancilla" and ancilla is None:
             ancilla = _int_tokens(tokens[1:], lineno, raw, 1)
@@ -239,6 +250,15 @@ def parse_netlist(text: str) -> Circuit:
     # once, in order of first occurrence, which makes the first bad line the
     # one that raises; its line number is looked up only then.
     body = dict.fromkeys(islice(lines, start, None))
+    # Each wire's decimal text -> its id, the inverse of the export's name
+    # list and built by the same kind of rule: only when the body has at
+    # least as many distinct lines as there are wires, so the table never
+    # outweighs the lines held above.  Its hits share one int per wire.
+    if len(body) >= wire_count:
+        table = dict(zip(map(str, range(wire_count)), range(wire_count)))
+    else:
+        table = {}
+    wire_of = table.__getitem__
     specs = _SPECS
     for raw in body:
         tokens = raw.split()
@@ -248,15 +268,20 @@ def parse_netlist(text: str) -> Circuit:
         spec = specs.get(head)
         if spec is not None:
             del tokens[0]
-            digits = "".join(tokens)
             try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(digits)
-                ids = tuple(map(int, tokens))
-            except ValueError:  # a bad token, or one longer than int() reads
-                lineno = lines.index(raw, start) + 1
-                _int_tokens(tokens, lineno, raw, 1)  # raises at that token
-                raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
+                ids = tuple(map(wire_of, tokens)) if table else ()
+            except KeyError:  # not a wire's name: a bad token, "007" or out of range
+                ids = ()
+            if not ids:  # each token as text, as without a table
+                digits = "".join(tokens)
+                try:
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ValueError(digits)
+                    ids = tuple(map(int, tokens))
+                except ValueError:  # a bad token, or one longer than int() reads
+                    lineno = lines.index(raw, start) + 1
+                    _int_tokens(tokens, lineno, raw, 1)  # raises at that token
+                    raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
             kind, cut, count = spec
             n = len(ids)
             if count is None and n < 2:
@@ -271,12 +296,13 @@ def parse_netlist(text: str) -> Circuit:
             else:
                 body[raw] = _new(Gate, (kind, ids[:cut], ids[cut:]))
                 continue
-        elif head == "#" and tokens[1:2] != ["role"]:
+        elif head == "#" and (len(tokens) < 2 or tokens[1] != "role"):
             continue  # a comment
         else:
             reason = _misplaced(head, ancilla)
         raise NetlistError(lines.index(raw, start) + 1, 1, reason)
 
+    del table, wire_of  # freed before the gates are laid out, which lowers the peak
     gates = list(filter(None, map(body.__getitem__, islice(lines, start, None))))
     # Every check the public Circuit constructor makes has been made above,
     # line by line: the qubits line against the cap, and every other line

@@ -414,6 +414,18 @@ def test_wide_sparse_export_stays_small():
     assert peak_mb < 64, f"{peak_mb:.0f} MB peak RSS"
 
 
+def test_wide_sparse_parse_stays_small():
+    # One gate line on 2^22 wires: the parse reads its ids without a table
+    # of every wire's name, which would take hundreds of MB.
+    code = (
+        "from qadd import WIRE_CAP, Circuit, cx, parse_netlist\n"
+        "c = parse_netlist('qadd 1\\nqubits 4194304\\nancilla\\ncx 0 4194303\\n')\n"
+        "assert c == Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)]), c\n"
+    )
+    peak_mb = child_peak_mb(code, timeout=20)
+    assert peak_mb < 64, f"{peak_mb:.0f} MB peak RSS"
+
+
 # --- the reference parser -----------------------------------------------------
 #
 # The parser as it was before gate lines were validated in one pass, kept as
@@ -675,3 +687,58 @@ def test_parse_returns_a_round_tripping_circuit_or_raises_netlist_error(text):
     except NetlistError:
         return
     assert parse_netlist(export_netlist(circuit)) == circuit
+
+
+# --- the wire-name table ------------------------------------------------------
+#
+# A body with at least as many distinct lines as wires reads its ids through a
+# table of the wires' names; a token the table lacks, and every token of a
+# smaller body, is read as text.  Both must give the same outcome.
+
+
+def _exact_outcome(text):
+    try:
+        return export_netlist(parse_netlist(text))
+    except NetlistError as err:
+        return (err.line, err.column, err.reason)
+
+
+def _with_and_without_the_name_table(bad, wires=8):
+    """``bad`` as the first gate line, followed by a distinct line per wire
+    or by one line only."""
+    head = f"qadd 1\nqubits {wires}\n{bad}\n"
+    padded = head + "".join(f"x {w}\n" for w in range(wires))
+    short = head + "x 0\n"
+    assert len(set(padded.split("\n")[2:])) >= wires > len(set(short.split("\n")[2:]))
+    return padded, short
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "cx 0 q",
+        "cx 0 \u0661",  # ARABIC-INDIC DIGIT ONE
+        f"cx 0 {WIRE_CAP + 1}",
+        "cx 0 8",
+        "cx 3 3",
+        "x",
+        "cx 007 1",  # accepted as wire 7
+    ],
+    ids=["non-digit", "non-ascii-digit", "over-cap", "out-of-range", "duplicate", "bare-x", "007"],
+)
+def test_bad_gate_lines_read_alike_with_and_without_the_name_table(bad):
+    texts = _with_and_without_the_name_table(bad)
+    if bad == "cx 007 1":
+        assert [parse_netlist(text).gates[0] for text in texts] == [cx(7, 1)] * 2
+    else:
+        with_table, without = map(_exact_outcome, texts)
+        assert with_table == without and without[0] == 3
+    for text in texts:
+        assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+def test_an_id_too_long_for_int_reads_alike_with_and_without_the_name_table():
+    # the reference parser lets int()'s ValueError escape here
+    texts = _with_and_without_the_name_table("cx 0 " + "1" * 5000)
+    with_table, without = map(_exact_outcome, texts)
+    assert with_table == without == (3, 6, "wire id of 5000 digits is too long")

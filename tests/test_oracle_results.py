@@ -76,6 +76,7 @@ BAD_PER_CASE = {
     "halves": (lambda s: [0.5] * 5, "wire 0 is 0.5, not a bit"),
     "string": (lambda s: "11111", "wire 0 is '1', not a bit"),
     "two": (lambda s: PER_CASE(s)[:3] + [2, 0], "wire 3 is an int out of range, not a bit"),
+    "minus-one": (lambda s: PER_CASE(s)[:2] + [-1, 0, 0], "wire 2 is an int out of range"),
     "none": (lambda s: [None] * 5, "wire 0 is None, not a bit"),
     "float-one": (lambda s: [1.0] * 5, "wire 0 is 1.0, not a bit"),
 }

@@ -167,12 +167,29 @@ def gates(draw, wire_count):
     return tg(wires[:-1], wires[-1])
 
 
+# Labels that join no register: a named wire, a leading zero and an index of
+# eight digits, one more than a register index may have.
+WHOLE_LABELS = ["Z", "B007", "A12345678"]
+
+
+@st.composite
+def role_maps(draw, wire_count):
+    """Labels on random wires: registers A and B, whose indices follow a
+    random permutation of their wires, and labels kept whole."""
+    order = draw(st.permutations(range(wire_count)))
+    count = draw(st.integers(0, wire_count))
+    whole = draw(st.lists(st.sampled_from(WHOLE_LABELS), unique=True, max_size=count))
+    rest = count - len(whole)
+    cut = draw(st.integers(0, rest))
+    labels = whole + [f"A{i}" for i in range(cut)] + [f"B{i}" for i in range(rest - cut)]
+    return dict(zip(order, labels)) or None
+
+
 @st.composite
 def circuits(draw, with_ancilla=True):
     wire_count = draw(st.integers(1, MAX_WIRES))
     ancilla = draw(st.sets(st.integers(0, wire_count - 1))) if with_ancilla else set()
-    labels = draw(st.sets(st.integers(0, wire_count - 1)))
-    roles = {w: f"R{w}" for w in labels} or None
+    roles = draw(role_maps(wire_count))
     gate_list = draw(st.lists(gates(wire_count), max_size=40))
     return Circuit(wire_count, ancilla, roles, gate_list)
 
