@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 from .blocked import BlockParams, synth_combined
 from .circuit import WIRE_CAP, Circuit, _check_size, compute_stats
@@ -29,11 +30,38 @@ from .sim import (
 #: Default policy: exhaustive when at most this many free wires, else trials.
 EXHAUSTIVE_DEFAULT_LIMIT = 20
 
-#: The flags each ``--kind`` requires; it refuses every other kind flag.
-_KIND_FLAGS = {"ripple": ("n",), "combined": ("n", "d"), "fanout-tree": ("t", "f")}
+#: One record per ``--kind``, in the order ``--kind`` lists them: the flags it
+#: requires (it refuses every other kind flag) and, from the parsed flags, its
+#: data-wire count, its circuit, its ``(per_case, packed)`` oracle pair and its
+#: closed forms, or ``None``.  The entries look their functions up in this
+#: module when they run, so a name rebound here (by a test or a tracer) is used.
+_Kind = namedtuple("_Kind", "flags wires build oracle closed_forms")
+_KINDS = {
+    "ripple": _Kind(
+        ("n",),
+        lambda args: 2 * args.n + 1,
+        lambda args: synth_ripple(args.n),
+        lambda args, circuit: adder_oracle(circuit),
+        lambda args: ripple_closed_forms(args.n) if args.n >= 3 else None,
+    ),
+    "combined": _Kind(
+        ("n", "d"),
+        lambda args: 2 * args.n + 1,
+        lambda args: synth_combined(BlockParams(args.n, args.d)),
+        lambda args, circuit: adder_oracle(circuit),
+        lambda args: None,
+    ),
+    "fanout-tree": _Kind(
+        ("t", "f"),
+        lambda args: args.t + 1,
+        lambda args: synth_fanout_tree(0, range(1, args.t + 1), args.f),
+        lambda args, circuit: fanout_oracle(circuit, 0, range(1, args.t + 1)),
+        lambda args: None,
+    ),
+}
 
 #: Every kind flag, in the order the refused ones are reported.
-_ALL_KIND_FLAGS = tuple(dict.fromkeys(f for flags in _KIND_FLAGS.values() for f in flags))
+_ALL_KIND_FLAGS = tuple(dict.fromkeys(f for kind in _KINDS.values() for f in kind.flags))
 
 
 class UsageError(Exception):
@@ -45,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kind_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kind", choices=list(_KIND_FLAGS))
+        p.add_argument("--kind", choices=list(_KINDS))
         p.add_argument("--n", type=int, help="operand width")
         p.add_argument("--d", type=int, help="depth parameter of the combined adder")
         p.add_argument("--t", type=int, help="fan-out target count")
@@ -87,19 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _data_wires(args: argparse.Namespace) -> int:
-    """Check the kind flags against ``_KIND_FLAGS`` and return the requested
-    circuit's data-wire count (2n+1 for the adders, t+1 for a fan-out tree),
-    rejecting one above ``WIRE_CAP`` before anything is built."""
+    """Check the kind flags against the kind's record in ``_KINDS`` and return
+    the requested circuit's data-wire count, rejecting one above ``WIRE_CAP``
+    before anything is built."""
     if args.kind is None:
         raise UsageError("--kind is required")
-    required = _KIND_FLAGS[args.kind]
+    required = _KINDS[args.kind].flags
     for name in required:
         if getattr(args, name) is None:
             raise UsageError(f"--kind {args.kind} requires --{name}")
     for name in _ALL_KIND_FLAGS:
         if name not in required and getattr(args, name) is not None:
             raise UsageError(f"--kind {args.kind} does not take --{name}")
-    wires = args.t + 1 if args.kind == "fanout-tree" else 2 * args.n + 1
+    wires = _KINDS[args.kind].wires(args)
     if wires > WIRE_CAP:
         raise ValueError(f"--kind {args.kind} needs {wires} wires, above the cap of {WIRE_CAP}")
     return wires
@@ -108,11 +136,7 @@ def _data_wires(args: argparse.Namespace) -> int:
 def _build(args: argparse.Namespace) -> Circuit:
     """Synthesize the requested circuit."""
     _data_wires(args)
-    if args.kind == "ripple":
-        return synth_ripple(args.n)
-    if args.kind == "combined":
-        return synth_combined(BlockParams(args.n, args.d))
-    return synth_fanout_tree(0, range(1, args.t + 1), args.f)
+    return _KINDS[args.kind].build(args)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -143,10 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         _check_random_request(args.trials, free, args.seed)
     circuit = _build(args)
-    if args.kind == "fanout-tree":
-        _, packed = fanout_oracle(circuit, 0, range(1, args.t + 1))
-    else:
-        _, packed = adder_oracle(circuit)
+    _, packed = _KINDS[args.kind].oracle(args, circuit)
     if exhaustive:
         report: VerifyReport = verify_exhaustive(circuit, packed_oracle=packed)
         mode = "exhaustive"
@@ -175,19 +196,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 raise UsageError(f"pass either a netlist file or --{name}, not both")
         with open(args.netlist) as handle:
             circuit: Circuit = parse_netlist(handle.read())
-        ripple_n = None
+        closed_forms = None
     else:
         circuit = _build(args)
-        ripple_n = args.n if args.kind == "ripple" else None
-    stats = compute_stats(circuit)
+        closed_forms = _KINDS[args.kind].closed_forms(args)
+    observed = compute_stats(circuit).to_json_dict()
     if args.json:
-        _emit(_json_text(stats.to_json_dict()), args.output)
+        _emit(_json_text(observed), args.output)
     else:
-        lines = [f"{key} {value}" for key, value in stats.to_json_dict().items()]
+        lines = [f"{key} {value}" for key, value in observed.items()]
         _emit("\n".join(lines) + "\n", args.output)
-    if ripple_n is not None and ripple_n >= 3:
-        observed = stats.to_json_dict()
-        for key, expected in ripple_closed_forms(ripple_n).items():
+    if closed_forms is not None:
+        for key, expected in closed_forms.items():
             if observed[key] != expected:
                 sys.stderr.write(
                     f"closed-form mismatch: {key} = {observed[key]}, expected {expected}\n"

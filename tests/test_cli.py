@@ -297,6 +297,44 @@ def _kind_argv(kind, flags):
     return ["--kind", kind, *(arg for name, value in flags.items() for arg in (f"--{name}", value))]
 
 
+# The builder and oracle factory each kind's record calls, by their names in cli.
+KIND_NAMES = {
+    "ripple": ("synth_ripple", "adder_oracle"),
+    "combined": ("synth_combined", "adder_oracle"),
+    "fanout-tree": ("synth_fanout_tree", "fanout_oracle"),
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "verify", "stats"])
+@pytest.mark.parametrize("kind", list(cli._KINDS))
+def test_each_kind_looks_up_its_functions_when_it_runs(capsys, monkeypatch, command, kind):
+    # A name rebound on cli after import (here, or by the benchmark's tracer
+    # in its CLI child) must be the one called: a record that kept the
+    # function objects it saw at import would skip every recorder below.
+    builder, oracle = KIND_NAMES[kind]
+    names = [builder]
+    if command == "verify":
+        names.append(oracle)
+    if (kind, command) == ("ripple", "stats"):
+        names.append("ripple_closed_forms")
+    calls = []
+
+    def recorder(name):
+        original = getattr(cli, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return record
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recorder(name))
+    code, out, _ = run_cli(capsys, command, *_kind_argv(kind, KIND_FLAGS[kind]))
+    assert code == 0 and out
+    assert calls == names
+
+
 @pytest.mark.parametrize("command", ["synth", "verify", "stats"])
 @pytest.mark.parametrize(
     "kind,flag,required",

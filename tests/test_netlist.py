@@ -1,4 +1,5 @@
 import pathlib
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -399,7 +400,13 @@ def test_export_matches_reference(circuit):
 )
 def test_export_matches_reference_on_large_circuits(build):
     circuit = build()
-    assert export_netlist(circuit) == reference_export_netlist(circuit)
+    text, want = export_netlist(circuit), reference_export_netlist(circuit)
+    if text != want:
+        # Name the first differing line: pytest's diff of two texts of about
+        # 1 MB ran for more than five minutes.
+        pairs = enumerate(zip_longest(text.split("\n"), want.split("\n")), 1)
+        line, got, expected = next((i, a, b) for i, (a, b) in pairs if a != b)
+        pytest.fail(f"line {line}: export {got!r}, reference {expected!r}")
 
 
 def test_wide_sparse_export_stays_small():
