@@ -25,10 +25,11 @@ and the complement all run inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain as _chain  # the adder's CNOT family is a local named ``chain``
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _x,
-    _shown,
+    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _shown,
+    _xs,
 )
 from .ripple import _check_registers, _families, _steps_1_to_3, _unwind, ripple_roles, ripple_wires
 
@@ -248,8 +249,8 @@ def synth_sum(w: int, with_carry_in: bool = True) -> Circuit:
         raise ValueError(f"with_carry_in must be a bool, got {with_carry_in!r}")
     offset = int(with_carry_in)  # the carry wire, when there is one, is wire 0
     wire_count = _check_wire_count(2 * w + offset)
-    b = [offset + 2 * i for i in range(w)]
-    a = [offset + 2 * i + 1 for i in range(w)]
+    b = list(range(offset, offset + 2 * w, 2))
+    a = list(range(offset + 1, offset + 2 * w, 2))
     roles = {"B": dict(enumerate(b)), "A": dict(enumerate(a))}, {"C": 0} if with_carry_in else {}
     carry = 0 if with_carry_in else None
     return Circuit._adopt(wire_count, (), roles, _sum(b, a, carry))
@@ -338,7 +339,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 
     blocks = [_steps_1_to_3(*per_block[0][:3])]
     blocks += [_init_body(*per_block[j], p_slots[j - 1]) for j in range(1, m)]
-    step1 = [gate for block in blocks for gate in block]
+    step1 = list(_chain.from_iterable(blocks))
 
     carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
 
@@ -346,7 +347,8 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # except its top Toffoli, the one gate there on the carry slot
     frame = 2 * k - 2
     tails = [block[frame : frame + k - 1] + block[frame + k :] for block in blocks]
-    step3 = [g for tail in reversed(tails) for g in reversed(tail)]
+    undone = list(_chain.from_iterable(tails))
+    step3 = undone[::-1]
 
     # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates
     # off the carry slot, which step 3 left in place, so they are skipped.
@@ -359,19 +361,19 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
         end = len(s) if j == m - 1 else len(s) - (frame - 1)
         step4 += s[:1] + s[frame:end]
 
-    step5 = [_x(b[i]) for i in range(n - k)]
+    step5 = _xs(zip(b[: n - k]))
 
     # step 6: reverse of steps 1-3 on the block lists below the top block;
     # the complemented sum regenerates the same carries, which zeroes the
     # slots.  P{m-1} and the scratch are 0 while the carry tree runs
     # backwards, so the tree gates with a known-zero control are left out
-    step6 = [g for tail in tails[:-1] for g in tail]
+    step6 = undone[: len(undone) - len(tails[-1])]
     zero = {p_slots[-1], *plan["scratch"]}
     for gate in reversed(carry):
         if zero.isdisjoint(gate.controls):
             step6.append(gate)
             zero.difference_update(gate.targets)
-    step6 += [g for block in reversed(blocks[:-1]) for g in reversed(block)]
+    step6 += reversed(step1[: len(step1) - len(blocks[-1])])
 
     step7 = list(step5)
     return [
@@ -390,9 +392,9 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     n, m = params.n, params.blocks
     scratch_count = carry_tree_scratch_count(m, 1)
     wire_count = _check_wire_count(2 * n + 2 * m - 1 + scratch_count)
-    g_slots = [2 * n + 1 + j for j in range(m - 1)]
-    p_slots = [2 * n + m + j for j in range(m - 1)]
-    scratch = [2 * n + 2 * m - 1 + i for i in range(scratch_count)]
+    g_slots = list(range(2 * n + 1, 2 * n + m))
+    p_slots = list(range(2 * n + m, 2 * n + 2 * m - 1))
+    scratch = list(range(2 * n + 2 * m - 1, wire_count))
     return {
         "z": 2 * n,
         "g_slots": g_slots,
@@ -412,9 +414,9 @@ def synth_combined(params: BlockParams) -> Circuit:
     """
     n = params.n
     plan = combined_wire_plan(params)
-    registers, named = ripple_roles(n)  # the data wires are laid out as in the ripple adder
+    registers, named = ripple_roles(*ripple_wires(n))  # the data wires as in the ripple adder
     g, p, s = plan["g_slots"], plan["p_slots"], plan["scratch"]
     registers.update(G=dict(enumerate(g)), P=dict(enumerate(p, 1)), S=dict(enumerate(s)))
     ancilla = g + p + s
-    gates = [gate for _, section in combined_step_gates(params) for gate in section]
+    gates = list(_chain.from_iterable(section for _, section in combined_step_gates(params)))
     return Circuit._adopt(plan["wire_count"], ancilla, (registers, named), gates)

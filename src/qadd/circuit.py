@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -135,10 +135,6 @@ class Gate(tuple):
 _new = tuple.__new__
 
 
-def _x(target: int) -> Gate:
-    return _new(Gate, (_NOT, (), (target,)))
-
-
 def _cx(control: int, target: int) -> Gate:
     return _new(Gate, (_CNOT, (control,), (target,)))
 
@@ -149,6 +145,11 @@ def _ccx(c1: int, c2: int, target: int) -> Gate:
 
 def _fo(source: int, targets: tuple[int, ...]) -> Gate:
     return _new(Gate, (_FANOUT, (source,), targets))
+
+
+def _xs(targets: Iterable[tuple[int]]) -> list[Gate]:
+    """One NOT per one-wire target tuple."""
+    return list(map(_new, repeat(Gate), zip(repeat(_NOT), repeat(()), targets)))
 
 
 def _cxs(controls: Iterable[tuple[int]], targets: Iterable[tuple[int]]) -> list[Gate]:
@@ -285,7 +286,9 @@ class CircuitStats:
         return self.count_toffoli + self.count_gen_toffoli
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # The instance dict holds exactly the fields, in field order, and each
+        # is an int, so a shallow copy is what ``asdict`` would build.
+        return dict(self.__dict__)
 
 
 class Circuit:

@@ -1,8 +1,10 @@
 """Batch command-line front end: synth | verify | stats | estimate.
 
-Exit codes: 0 success, 1 verification (or closed-form) failure, 2 invalid
-flags.  All output is deterministic; identical invocations with identical
-seeds produce byte-identical output.
+Exit codes: 0 success; 1 a verification failure, or a closed-form mismatch
+in `stats --kind`; 2 a refused request: invalid flags, a size over a cap, a
+`NetlistError`, or a file that cannot be opened.  All output is
+deterministic; identical invocations with identical seeds produce
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -114,12 +114,11 @@ def ripple_closed_forms(n: int) -> dict[str, int]:
 
 def ripple_wires(n: int) -> tuple[list[int], list[int], int]:
     """Canonical interleaved wire ids: B_i = 2i, A_i = 2i+1, Z = 2n."""
-    return [2 * i for i in range(n)], [2 * i + 1 for i in range(n)], 2 * n
+    return list(range(0, 2 * n, 2)), list(range(1, 2 * n, 2)), 2 * n
 
 
-def ripple_roles(n: int) -> tuple[dict, dict]:
-    """The roles of ``synth_ripple(n)``: registers B and A, and Z."""
-    b, a, z = ripple_wires(n)
+def ripple_roles(b: list[int], a: list[int], z: int) -> tuple[dict, dict]:
+    """The roles of ``synth_ripple``, from its wires: registers B and A, and Z."""
     return {"B": dict(enumerate(b)), "A": dict(enumerate(a))}, {"Z": z}
 
 
@@ -129,7 +128,7 @@ def synth_ripple(n: int) -> Circuit:
     _check_size("n", n, 1)
     wire_count = _check_wire_count(2 * n + 1)
     b, a, z = ripple_wires(n)
-    return Circuit._adopt(wire_count, (), ripple_roles(n), _ripple_add(b, a, z))
+    return Circuit._adopt(wire_count, (), ripple_roles(b, a, z), _ripple_add(b, a, z))
 
 
 def interleaved_layout(circuit: Circuit) -> dict[int, int]:
@@ -146,9 +145,12 @@ def interleaved_layout(circuit: Circuit) -> dict[int, int]:
     if circuit.wire_count != 2 * n + 1:
         raise ValueError("interleaved layout needs 2n+1 wires")
     b, a = (circuit._roles[0].get(prefix, {}) for prefix in "BA")
+    # the wires in position order; Z, which fills the list first, stays at 2n
+    order = [circuit._roles[1]["Z"]] * (2 * n + 1)
     try:
-        layout = {(a if pos & 1 else b)[pos >> 1]: pos for pos in range(2 * n)}
-    except KeyError as exc:  # the first index missing in position order, B_i before A_i
-        i = exc.args[0]
-        raise ValueError(f"circuit has no role label {'A' if i in b else 'B'}{i}") from None
-    return layout | {circuit._roles[1]["Z"]: 2 * n}
+        order[0 : 2 * n : 2] = map(b.__getitem__, range(n))
+        order[1 : 2 * n : 2] = map(a.__getitem__, range(n))
+    except KeyError:  # name the first index missing in position order, B_i before A_i
+        pos = next(pos for pos in range(2 * n) if pos >> 1 not in (a if pos & 1 else b))
+        raise ValueError(f"circuit has no role label {'BA'[pos & 1]}{pos >> 1}") from None
+    return dict(zip(order, range(2 * n + 1)))

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import qadd.cli as cli
 from qadd import WIRE_CAP, parse_netlist, ripple_closed_forms, synth_ripple, verify_exhaustive
 from qadd.cli import dispatch
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +30,15 @@ def test_main_exits_with_the_dispatch_code(monkeypatch, argv, code):
     with pytest.raises(SystemExit) as exit_:
         cli.main()
     assert exit_.value.code == code
+
+
+def test_help_states_the_exit_codes_the_readme_gives():
+    # qadd --help prints the module docstring; dispatch exits 2 on every
+    # refused request, not only on invalid flags
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    codes = readme[readme.index("Exit codes: 0 success") :].split(". ")[0]
+    assert codes.endswith("a `NetlistError`, or a file that cannot be opened")
+    assert codes in " ".join(cli.build_parser().description.split())
 
 
 def test_synth_to_file_then_stats(tmp_path, capsys):

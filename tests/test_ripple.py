@@ -80,7 +80,19 @@ def test_ripple_span_under_interleaved_layout():
         assert max_window_span(c, interleaved_layout(c)) <= 3
 
 
-@pytest.mark.parametrize("roles, missing", [({4: "Z"}, "B0"), ({0: "B0", 4: "Z"}, "A0")])
+@pytest.mark.parametrize(
+    "roles, missing",
+    [
+        ({4: "Z"}, "B0"),
+        ({0: "B0", 4: "Z"}, "A0"),
+        # both registers lack a label: the first in position order is named,
+        # B_i before A_i, whichever register a build reads first
+        ({0: "B0", 3: "A1", 4: "Z"}, "A0"),
+        ({0: "B0", 1: "A0", 4: "Z"}, "B1"),
+        ({2: "B1", 3: "A1", 4: "Z"}, "B0"),
+        ({1: "A0", 2: "B1", 4: "Z"}, "B0"),
+    ],
+)
 def test_interleaved_layout_names_a_missing_role_label(roles, missing):
     with pytest.raises(ValueError, match=f"no role label {missing}$"):
         interleaved_layout(Circuit(5, role_map=roles))
