@@ -1,0 +1,5 @@
+set -eo pipefail
+qadd synth --kind combined --n 4096 --d 12 -o "$RUNNER_TEMP/c.qn"
+qadd stats "$RUNNER_TEMP/c.qn" --json > "$RUNNER_TEMP/from-file.json"
+qadd stats --kind combined --n 4096 --d 12 --json > "$RUNNER_TEMP/from-kind.json"
+cmp "$RUNNER_TEMP/from-file.json" "$RUNNER_TEMP/from-kind.json"

@@ -1,0 +1,3 @@
+set -eo pipefail
+python3 qaddbench/run.py --workload verify-random --seed 1 --seconds 3 --trace 0 > "$RUNNER_TEMP/random.out"
+tail -n 1 "$RUNNER_TEMP/random.out" | python -c 'import json, sys; r = json.loads(sys.stdin.read()); assert r["correct"] and r["failed"] == 0, r'

