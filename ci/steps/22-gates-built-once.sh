@@ -13,6 +13,10 @@ assert (len({id(t) for t in tuples}), len(set(tuples))) == (2 * n + 1, 2 * n + 1
 combined = qadd.synth_combined(qadd.BlockParams(4096, 12)).gates
 counts = (len({id(g) for g in combined}), len(set(combined)), len(combined))
 assert counts == (19935, 19935, 88358), counts
+# and so do the small blocks of (4096, 2), built as per-position columns
+combined = qadd.synth_combined(qadd.BlockParams(4096, 2)).gates
+counts = (len({id(g) for g in combined}), len(set(combined)), len(combined))
+assert counts == (30689, 30689, 96116), counts
 run = ["qadd", "stats", "--kind", "ripple", "--n", str(n), "--json"]
 stats = json.loads(subprocess.run(run, check=True, capture_output=True, text=True).stdout)
 closed = qadd.ripple_closed_forms(n)

@@ -20,6 +20,11 @@ frame, so the circuit opens it once, in the init section, and closes it
 once: in the sum section on the top block, at the end of the unwind
 section on every other block.  The uncompute-init section, the block sums
 and the complement all run inside it.
+
+Each section is built once over all blocks: the block helpers only reorder
+what they are handed, so they also order per-position columns over a range
+of blocks, which ``zip(*columns)`` reads block by block in C, and the carry
+tree is one Toffoli family per level.  So the Python work grows with k + log2(m).
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 from itertools import chain as _chain  # the adder's CNOT family is a local named ``chain``
 
 from .circuit import (
-    Circuit, Gate, _ccx, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx, _shown,
-    _xs,
+    Circuit, Gate, _ccx, _ccxs, _check_size, _check_wire_count, _check_wires, _collector_paused, _cx,
+    _cxs, _shown, _xs,
 )
 from .ripple import _check_registers, _families, _steps_1_to_3, _unwind, ripple_roles, ripple_wires
 
@@ -78,15 +83,14 @@ def prefix_and_ladder_gates(conjuncts: list[int], scratch: list[int], target: in
         raise ValueError("need w >= 2 conjuncts and w-1 scratch wires")
     _check_wires(conjuncts, scratch, (target,))
     sweep = list(map(_ccx, conjuncts[1:], scratch, scratch[1:]))
-    return _ladder(conjuncts, scratch, target, sweep)
+    return _ladder(_ccx(conjuncts[-1], scratch[-1], target), _cx(conjuncts[0], scratch[0]), sweep)
 
 
-def _ladder(conjuncts: list[int], scratch: list[int], target: int, sweep: list[Gate]) -> list[Gate]:
-    """The ladder on checked wires around ``sweep``, its ascending Toffoli
-    sweep ccx(conjuncts[j], scratch[j-1], scratch[j]) for 0 < j < w-1, which
-    the caller builds."""
-    top = _ccx(conjuncts[-1], scratch[-1], target)
-    return [top, *sweep[::-1], _cx(conjuncts[0], scratch[0]), *sweep, top]
+def _ladder(top: Gate, seed: Gate, sweep: list[Gate]) -> list[Gate]:
+    """The ladder from its top Toffoli ccx(conjuncts[-1], scratch[-1], target),
+    its seed cx(conjuncts[0], scratch[0]) and its ascending Toffoli sweep
+    ccx(conjuncts[j], scratch[j-1], scratch[j]) for 0 < j < w-1."""
+    return [top, *sweep[::-1], seed, *sweep, top]
 
 
 def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
@@ -105,17 +109,18 @@ def init_gates(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
 
 
 def _init(b: list[int], a: list[int], g: int, p: int) -> list[Gate]:
-    return _init_body(*_families(b, a, [g]), b, a, p)
+    return _init_body(*_families(b, a, [g]), _ccx(b[-1], a[-1], p), _cx(b[0], a[1]))
 
 
 def _init_body(
-    fold: list[Gate], chain: list[Gate], tof: list[Gate], b: list[int], a: list[int], p: int
+    fold: list[Gate], chain: list[Gate], tof: list[Gate], top: Gate, seed: Gate
 ) -> list[Gate]:
     """INIT from the block's families (``_families``, with the generate slot as
-    the top bit's next wire) and its wires."""
+    the top bit's next wire) and its ladder's top ccx(b_top, a_top, p) and
+    seed cx(b_0, a_1)."""
     # cx(a0, b0) is fold[0]; the ladder's ascending sweep is the first half's
     # ccx(b_i, a_i, a_{i+1}), 0 < i < w-1
-    return _steps_1_to_3(fold, chain, tof) + fold[:1] + _ladder(b, a[1:], p, tof[1:-1])
+    return _steps_1_to_3(fold, chain, tof) + fold[:1] + _ladder(top, seed, tof[1:-1])
 
 
 def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate]:
@@ -131,21 +136,21 @@ def sum_gates(b: list[int], a: list[int], carry: int | None = None) -> list[Gate
 
 
 def _sum(b: list[int], a: list[int], carry: int | None) -> list[Gate]:
-    return _sum_body(*_families(b, a, []), b, a, carry)
+    # the carry CNOTs onto a0 bracket the Toffolis; at w = 1 there are none,
+    # and the pair would cancel
+    bracket = [_cx(carry, a[0])] if carry is not None and len(b) > 1 else []
+    carry_in = [] if carry is None else [_cx(carry, b[0])]
+    return _sum_body(*_families(b, a, []), bracket, carry_in)
 
 
 def _sum_body(
-    fold: list[Gate], chain: list[Gate], tof: list[Gate], b: list[int], a: list[int],
-    carry: int | None,
+    fold: list[Gate], chain: list[Gate], tof: list[Gate], bracket: list[Gate], carry_in: list[Gate]
 ) -> list[Gate]:
     """SUM from the block's families, of which it reads the chain and the
-    Toffolis below the top bit, and its wires."""
+    Toffolis below the top bit, its carry bracket [cx(carry, a_0)] and its
+    carry-in [cx(carry, b_0)], each [] where the block has none."""
     w = len(fold)
     chain, tof = chain[: w - 1], tof[: w - 1]
-    # the carry CNOTs onto a0 bracket the Toffolis; at w = 1 there are none,
-    # and the pair would cancel
-    bracket = [_cx(carry, a[0])] if carry is not None and w > 1 else []
-    carry_in = [] if carry is None else [_cx(carry, b[0])]
     unwind = _unwind(fold, tof)
     return fold + chain[::-1] + bracket + tof + unwind + bracket + carry_in + chain + fold[1:]
 
@@ -182,43 +187,32 @@ def carry_gates(
 def _carry(g_wires: list[int], p_wires: list[int | None], scratch: list[int]) -> list[Gate]:
     m = len(g_wires)
     levels = m.bit_length() - 1
-    p_lvl: list[dict[int, int]] = [{i: p_wires[i] for i in range(1, m)}]
+    # p_lvl[t][i]: the propagate wire of level-t interval i >= 1 (index 0 unused)
+    p_lvl = [p_wires]
     gates: list[Gate] = []
-    compute_order: list[Gate] = []
+    products: list[Gate] = []
 
-    # upward combine: level t merges pairs of level t-1 intervals; the k-th
-    # level product computed goes to scratch[k]
+    # upward combine: level t merges pairs of level t-1 intervals, each level
+    # one Toffoli family; the k-th level product computed goes to scratch[k]
     for t in range(1, levels + 1):
-        blocks_t = m >> t
-        prev = p_lvl[t - 1]
+        prev, step = p_lvl[t - 1], 1 << t
         if t < levels:
-            cur: dict[int, int] = {}
-            for i in range(1, blocks_t):
-                w = scratch[len(compute_order)]
-                gate = _ccx(prev[2 * i], prev[2 * i + 1], w)
-                gates.append(gate)
-                compute_order.append(gate)
-                cur[i] = w
-            p_lvl.append(cur)
-        step = 1 << t
-        half = step >> 1
-        for i in range(blocks_t):
-            gates.append(
-                _ccx(g_wires[i * step + half - 1], prev[2 * i + 1], g_wires[(i + 1) * step - 1])
-            )
+            cur = scratch[len(products) : len(products) + (m >> t) - 1]
+            level = _ccxs(zip(prev[2::2], prev[3::2]), zip(cur))
+            gates += level
+            products += level
+            p_lvl.append([None, *cur])
+        tops = zip(g_wires[step // 2 - 1 :: step], prev[1::2])
+        gates += _ccxs(tops, zip(g_wires[step - 1 :: step]))
 
     # downward distribution: finalize prefixes at odd multiples of 2**s
     for s in range(levels - 2, -1, -1):
-        step = 1 << s
-        q = 3
-        while q * step <= m:
-            gates.append(
-                _ccx(g_wires[(q - 1) * step - 1], p_lvl[s][q - 1], g_wires[q * step - 1])
-            )
-            q += 2
+        step = 2 << s
+        lows = zip(g_wires[step - 1 :: step], p_lvl[s][2::2])
+        gates += _ccxs(lows, zip(g_wires[step + step // 2 - 1 :: step]))
 
     # uncompute the scratch propagate products
-    gates += reversed(compute_order)
+    gates += reversed(products)
     return gates
 
 
@@ -324,56 +318,62 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     closes it on the top block, and "unwind", which reverses "init",
     closes it on the others.  Both undo each block behind its frame but
     for its top Toffoli, at frame + k - 1, which writes the carry slot.
+    Block 0, the middle blocks and the top block are three column groups.
     """
-    n, k, m = params.n, params.k, params.blocks
     plan = combined_wire_plan(params)
+    n, k, m = params.n, params.k, params.blocks
     b, a, _ = ripple_wires(n)
     g_slots = plan["g_slots"] + [plan["z"]]
     p_slots = plan["p_slots"]
     # each family is built once over all n bits, with the carry slots as the
-    # block tops' next wires; each block's init and sum read its slices of
-    # the families and of the wires
+    # block tops' next wires; a column is a family's gates at one bit position
+    # of each block in a group
     fold, chain, tof = _families(b, a, g_slots)
-    cuts = [slice(j * k, (j + 1) * k) for j in range(m)]
-    per_block = [(fold[cut], chain[cut], tof[cut], b[cut], a[cut]) for cut in cuts]
+    frame = 2 * k - 2
+    step1, undone, step4 = [], [], []
+    for lo, hi in (0, 1), (1, m - 1), (m - 1, m):
+        bits = [slice(i, hi * k, k) for i in range(lo * k, lo * k + k)]
+        cols = [[family[cut] for cut in bits] for family in (fold, chain, tof)]
+        init = _steps_1_to_3(*cols)
+        bracket, carry_in = [], []  # block 0 has no carry-in
+        if lo:
+            top = _ccxs(zip(b[bits[-1]], a[bits[-1]]), zip(p_slots[lo - 1 : hi - 1]))
+            init = _init_body(*cols, top, _cxs(zip(b[bits[0]]), zip(a[bits[1]])))
+            carries = list(zip(g_slots[lo - 1 : hi - 1]))
+            bracket = [_cxs(carries, zip(a[bits[0]]))]
+            carry_in = [_cxs(carries, zip(b[bits[0]]))]
+        step1 += _chain.from_iterable(zip(*init))
 
-    blocks = [_steps_1_to_3(*per_block[0][:3])]
-    blocks += [_init_body(*per_block[j], p_slots[j - 1]) for j in range(1, m)]
-    step1 = list(_chain.from_iterable(blocks))
+        # step 3: undo step 1 behind each block's frame (its first 2k-2
+        # gates) except its top Toffoli, the one gate there on the carry slot
+        tail = init[frame : frame + k - 1] + init[frame + k :]
+        undone += _chain.from_iterable(zip(*tail))
+
+        # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates
+        # off the carry slot, which step 3 left in place, so they are skipped.
+        # It closes by undoing those 2k-3 gates; blocks below the top skip
+        # that too and stay in the frame for step 6, as the complement's X
+        # gates on b commute with it
+        s = _sum_body(*cols, bracket, carry_in)
+        end = len(s) if hi == m else len(s) - (frame - 1)
+        step4 += _chain.from_iterable(zip(*s[:1], *s[frame:end]))
 
     carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
-
-    # step 3: undo step 1 behind each block's frame (its first 2k-2 gates)
-    # except its top Toffoli, the one gate there on the carry slot
-    frame = 2 * k - 2
-    tails = [block[frame : frame + k - 1] + block[frame + k :] for block in blocks]
-    undone = list(_chain.from_iterable(tails))
     step3 = undone[::-1]
-
-    # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates
-    # off the carry slot, which step 3 left in place, so they are skipped.
-    # It closes by undoing those 2k-3 gates; blocks below the top skip that
-    # too and stay in the frame for step 6, as the complement's X gates on
-    # b commute with it
-    step4: list[Gate] = []
-    for j in range(m):
-        s = _sum_body(*per_block[j], g_slots[j - 1] if j else None)
-        end = len(s) if j == m - 1 else len(s) - (frame - 1)
-        step4 += s[:1] + s[frame:end]
-
     step5 = _xs(zip(b[: n - k]))
 
-    # step 6: reverse of steps 1-3 on the block lists below the top block;
-    # the complemented sum regenerates the same carries, which zeroes the
-    # slots.  P{m-1} and the scratch are 0 while the carry tree runs
-    # backwards, so the tree gates with a known-zero control are left out
-    step6 = undone[: len(undone) - len(tails[-1])]
+    # step 6: reverse of steps 1-3 on the blocks below the top block, the
+    # last group, whose columns hold one gate each; the complemented sum
+    # regenerates the same carries, which zeroes the slots.  P{m-1} and the
+    # scratch are 0 while the carry tree runs backwards, so the tree gates
+    # with a known-zero control are left out
+    step6 = undone[: len(undone) - len(tail)]
     zero = {p_slots[-1], *plan["scratch"]}
     for gate in reversed(carry):
         if zero.isdisjoint(gate.controls):
             step6.append(gate)
             zero.difference_update(gate.targets)
-    step6 += reversed(step1[: len(step1) - len(blocks[-1])])
+    step6 += reversed(step1[: len(step1) - len(init)])
 
     step7 = list(step5)
     return [
@@ -389,6 +389,8 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
 
 def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     """Wire bookkeeping shared by synthesis and tests, checked for the cap first."""
+    if not isinstance(params, BlockParams):
+        raise TypeError(f"expected a BlockParams, got {type(params).__name__}")
     n, m = params.n, params.blocks
     scratch_count = carry_tree_scratch_count(m, 1)
     wire_count = _check_wire_count(2 * n + 2 * m - 1 + scratch_count)
@@ -412,9 +414,8 @@ def synth_combined(params: BlockParams) -> Circuit:
     propagate slots P1..P{m-1}, and the carry tree's scratch wires,
     3n/k - log2(n/k) - 3 in total, all restored to 0.
     """
-    n = params.n
     plan = combined_wire_plan(params)
-    registers, named = ripple_roles(*ripple_wires(n))  # the data wires as in the ripple adder
+    registers, named = ripple_roles(*ripple_wires(params.n))  # the data wires as in the ripple adder
     g, p, s = plan["g_slots"], plan["p_slots"], plan["scratch"]
     registers.update(G=dict(enumerate(g)), P=dict(enumerate(p, 1)), S=dict(enumerate(s)))
     ancilla = g + p + s

@@ -54,7 +54,8 @@ def _families(b: list[int], a: list[int], tops: list[int]) -> tuple[list[Gate], 
 
 
 def _steps_1_to_3(fold: list[Gate], chain: list[Gate], tof: list[Gate]) -> list[Gate]:
-    # step 1: fold a into b (bit 0 excluded; its carry-in is 0); step 2: the
+    # this and the block helpers only reorder what they are handed: one block's
+    # gates, or per-position columns of gates over many blocks; step 1: fold a into b (bit 0 excluded; its carry-in is 0); step 2: the
     # downward chain from the top bit to bit 1 prepares a_i ^ a_{i-1}; step 3:
     # the upward Toffolis turn those into a_i ^ c_i
     return fold[1:] + chain[:0:-1] + tof

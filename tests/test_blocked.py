@@ -304,3 +304,10 @@ def test_an_over_cap_carry_tree_is_refused_in_linear_time():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("build", [combined_wire_plan, combined_step_gates, synth_combined])
+@pytest.mark.parametrize("params", [(8, 2), [8, 2], None, "BlockParams(8, 2)"])
+def test_combined_entry_points_refuse_params_that_are_not_block_params(build, params):
+    with pytest.raises(TypeError, match=f"expected a BlockParams, got {type(params).__name__}"):
+        build(params)

@@ -96,6 +96,43 @@ def reference_sum(b, a, carry):
     return gates
 
 
+def reference_carry(g_wires, p_wires, scratch):
+    """The carry tree one gate at a time: an upward combine with the level
+    products on ``scratch`` in the order they are computed, a downward
+    distribution, then the products uncomputed in reverse."""
+    m = len(g_wires)
+    levels = m.bit_length() - 1
+    p_lvl = [{i: p_wires[i] for i in range(1, m)}]
+    gates = []
+    compute_order = []
+    for t in range(1, levels + 1):
+        blocks_t = m >> t
+        prev = p_lvl[t - 1]
+        if t < levels:
+            cur = {}
+            for i in range(1, blocks_t):
+                w = scratch[len(compute_order)]
+                gate = ccx(prev[2 * i], prev[2 * i + 1], w)
+                gates.append(gate)
+                compute_order.append(gate)
+                cur[i] = w
+            p_lvl.append(cur)
+        step = 1 << t
+        half = step >> 1
+        for i in range(blocks_t):
+            gates.append(
+                ccx(g_wires[i * step + half - 1], prev[2 * i + 1], g_wires[(i + 1) * step - 1])
+            )
+    for s in range(levels - 2, -1, -1):
+        step = 1 << s
+        q = 3
+        while q * step <= m:
+            gates.append(ccx(g_wires[(q - 1) * step - 1], p_lvl[s][q - 1], g_wires[q * step - 1]))
+            q += 2
+    gates += reversed(compute_order)
+    return gates
+
+
 @functools.lru_cache(maxsize=None)
 def reference_combined_sections(n, k):
     """The combined adder's sections, each block's INIT and SUM built on its
@@ -227,12 +264,29 @@ def test_combined_adder_shares_its_repeated_gates():
     assert objects == values == 19935
 
 
+@pytest.mark.parametrize("m", [1 << e for e in range(2, 13)])
+def test_carry_tree_matches_its_step_by_step_reference(m):
+    g_wires = list(range(m))
+    p_wires = [None, *range(m, 2 * m - 1)]
+    gates, scratch = carry_gates(g_wires, p_wires, 2 * m - 1)
+    assert gates == reference_carry(g_wires, p_wires, scratch)
+    # each product's uncompute is its compute gate again
+    objects, values = objects_and_values(gates)
+    assert objects == values
+
+
 def _assert_sections_match_the_reference(params):
     sections = combined_step_gates(params)
     reference = reference_combined_sections(params.n, params.k)
     assert [name for name, _ in sections] == [name for name, _ in reference]
     for (name, gates), (_, expected) in zip(sections, reference):
         assert gates == expected, (params, name)
+    # the reference's carry section comes from carry_gates: check the tree
+    # level by level against the loop as well
+    plan = combined_wire_plan(params)
+    g_slots = plan["g_slots"] + [plan["z"]]
+    expected = reference_carry(g_slots, [None, *plan["p_slots"]], plan["scratch"])
+    assert dict(sections)["carry"] == expected, params
     # across sections too, an equal gate at several positions is one object
     objects = len(set(map(id, chain.from_iterable(gates for _, gates in sections))))
     assert objects == reference_distinct_gates(params.n, params.k), params
