@@ -24,7 +24,9 @@ and the complement all run inside it.
 Each section is built once over all blocks: the block helpers only reorder
 what they are handed, so they also order per-position columns over a range
 of blocks, which ``zip(*columns)`` reads block by block in C, and the carry
-tree is one Toffoli family per level.  So the Python work grows with k + log2(m).
+tree is one Toffoli family per level, which the unwind runs backwards less
+its last gate.  So the Python work grows with k + log2(m): no section walks
+its gates one at a time.
 """
 
 from __future__ import annotations
@@ -181,15 +183,23 @@ def carry_gates(
     if type(first_scratch) is int:
         scratch = list(range(first_scratch, first_scratch + carry_tree_scratch_count(m, 1)))
     _check_wires(g_wires, p_wires[1:], scratch)
-    return _carry(g_wires, p_wires, scratch), scratch
+    up, down, undo = _carry(g_wires, p_wires, scratch)
+    return list(_chain(*up, down, undo)), scratch
 
 
-def _carry(g_wires: list[int], p_wires: list[int | None], scratch: list[int]) -> list[Gate]:
+def _carry(
+    g_wires: list[int], p_wires: list[int | None], scratch: list[int]
+) -> tuple[list[list[Gate]], list[Gate], list[Gate]]:
+    """The carry tree's level families: the upward ones in order, each level's
+    propagate product (the top level has none; the products are ``up[:-1:2]``)
+    then its combine; the downward distribution; and the product uncompute.
+    The tree is the three in that order.  Each family's last gate is its level's
+    product over, or combine into, the top interval."""
     m = len(g_wires)
     levels = m.bit_length() - 1
     # p_lvl[t][i]: the propagate wire of level-t interval i >= 1 (index 0 unused)
     p_lvl = [p_wires]
-    gates: list[Gate] = []
+    up: list[list[Gate]] = []
     products: list[Gate] = []
 
     # upward combine: level t merges pairs of level t-1 intervals, each level
@@ -198,22 +208,30 @@ def _carry(g_wires: list[int], p_wires: list[int | None], scratch: list[int]) ->
         prev, step = p_lvl[t - 1], 1 << t
         if t < levels:
             cur = scratch[len(products) : len(products) + (m >> t) - 1]
-            level = _ccxs(zip(prev[2::2], prev[3::2]), zip(cur))
-            gates += level
-            products += level
+            up.append(_ccxs(zip(prev[2::2], prev[3::2]), zip(cur)))
+            products += up[-1]
             p_lvl.append([None, *cur])
         tops = zip(g_wires[step // 2 - 1 :: step], prev[1::2])
-        gates += _ccxs(tops, zip(g_wires[step - 1 :: step]))
+        up.append(_ccxs(tops, zip(g_wires[step - 1 :: step])))
 
     # downward distribution: finalize prefixes at odd multiples of 2**s
+    down: list[Gate] = []
     for s in range(levels - 2, -1, -1):
         step = 2 << s
         lows = zip(g_wires[step - 1 :: step], p_lvl[s][2::2])
-        gates += _ccxs(lows, zip(g_wires[step + step // 2 - 1 :: step]))
+        down += _ccxs(lows, zip(g_wires[step + step // 2 - 1 :: step]))
 
     # uncompute the scratch propagate products
-    gates += reversed(products)
-    return gates
+    return up, down, products[::-1]
+
+
+def _tree_backwards(up: list[list[Gate]], down: list[Gate]) -> list[Gate]:
+    """The carry tree from ``_carry``'s families run backwards without the top
+    interval's gates, each level family's last (m a power of two): the
+    products recomputed, the distribution reversed, then the upward families
+    reversed.  The combined adder's unwind runs it (``combined_step_gates``)."""
+    short = [family[:-1] for family in up]
+    return [*_chain(*short[:-1:2]), *down[::-1], *reversed([*_chain(*short)])]
 
 
 @_collector_paused
@@ -298,10 +316,10 @@ def synth_carry(n: int, l: int) -> Circuit:
     p_wires = list(range(m - 1))
     g_wires = list(range(m - 1, 2 * m - 1))
     scratch = list(range(2 * m - 1, wire_count))
-    gates = _carry(g_wires, [None, *p_wires], scratch)
+    up, down, undo = _carry(g_wires, [None, *p_wires], scratch)
     registers = {"P": dict(enumerate(p_wires, 1)), "G": dict(enumerate(g_wires))}
     registers["S"] = dict(enumerate(scratch))
-    return Circuit._adopt(wire_count, scratch, (registers, {}), gates)
+    return Circuit._adopt(wire_count, scratch, (registers, {}), list(_chain(*up, down, undo)))
 
 
 @_collector_paused
@@ -319,6 +337,14 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     closes it on the others.  Both undo each block behind its frame but
     for its top Toffoli, at frame + k - 1, which writes the carry slot.
     Block 0, the middle blocks and the top block are three column groups.
+
+    "unwind" runs the carry tree backwards without the top interval's
+    gates, the last of each level family: each level's propagate product
+    over it, in its recompute and its uncompute, and each level's combine
+    into Z.  The top block is not unwound, so P{m-1} is 0 there, as is
+    every scratch wire before the tree runs, and each of those gates has a
+    control at 0; and Z, the top block's carry slot, must keep s_n, where
+    the other slots are cleared.
     """
     plan = combined_wire_plan(params)
     n, k, m = params.n, params.k, params.blocks
@@ -330,7 +356,7 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
     # of each block in a group
     fold, chain, tof = _families(b, a, g_slots)
     frame = 2 * k - 2
-    step1, undone, step4 = [], [], []
+    inits, tails, sums = [], [], []  # per column group, each block by block
     for lo, hi in (0, 1), (1, m - 1), (m - 1, m):
         bits = [slice(i, hi * k, k) for i in range(lo * k, lo * k + k)]
         cols = [[family[cut] for cut in bits] for family in (fold, chain, tof)]
@@ -342,12 +368,12 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
             carries = list(zip(g_slots[lo - 1 : hi - 1]))
             bracket = [_cxs(carries, zip(a[bits[0]]))]
             carry_in = [_cxs(carries, zip(b[bits[0]]))]
-        step1 += _chain.from_iterable(zip(*init))
+        inits.append(list(_chain.from_iterable(zip(*init))))
 
         # step 3: undo step 1 behind each block's frame (its first 2k-2
         # gates) except its top Toffoli, the one gate there on the carry slot
         tail = init[frame : frame + k - 1] + init[frame + k :]
-        undone += _chain.from_iterable(zip(*tail))
+        tails.append(list(_chain.from_iterable(zip(*tail))))
 
         # step 4: _sum opens with cx(a0, b0) and the frame's 2k-3 gates
         # off the carry slot, which step 3 left in place, so they are skipped.
@@ -356,31 +382,22 @@ def combined_step_gates(params: BlockParams) -> list[tuple[str, list[Gate]]]:
         # gates on b commute with it
         s = _sum_body(*cols, bracket, carry_in)
         end = len(s) if hi == m else len(s) - (frame - 1)
-        step4 += _chain.from_iterable(zip(*s[:1], *s[frame:end]))
+        sums.append(list(_chain.from_iterable(zip(*s[:1], *s[frame:end]))))
 
-    carry = _carry(g_slots, [None, *p_slots], plan["scratch"])
-    step3 = undone[::-1]
+    up, down, undo = _carry(g_slots, [None, *p_slots], plan["scratch"])
     step5 = _xs(zip(b[: n - k]))
 
-    # step 6: reverse of steps 1-3 on the blocks below the top block, the
-    # last group, whose columns hold one gate each; the complemented sum
-    # regenerates the same carries, which zeroes the slots.  P{m-1} and the
-    # scratch are 0 while the carry tree runs backwards, so the tree gates
-    # with a known-zero control are left out
-    step6 = undone[: len(undone) - len(tail)]
-    zero = {p_slots[-1], *plan["scratch"]}
-    for gate in reversed(carry):
-        if zero.isdisjoint(gate.controls):
-            step6.append(gate)
-            zero.difference_update(gate.targets)
-    step6 += reversed(step1[: len(step1) - len(init)])
+    # step 6: reverse of steps 1-3 on every group but the top block's; the
+    # complemented sum regenerates the same carries, which zeroes the slots.
+    # The tree runs backwards between them, without the top interval's gates
+    step6 = [*_chain(*tails[:-1]), *_tree_backwards(up, down), *reversed([*_chain(*inits[:-1])])]
 
     step7 = list(step5)
     return [
-        ("init", step1),
-        ("carry", carry),
-        ("uncompute-init", step3),
-        ("sum", step4),
+        ("init", list(_chain(*inits))),
+        ("carry", list(_chain(*up, down, undo))),
+        ("uncompute-init", list(_chain(*tails))[::-1]),
+        ("sum", list(_chain(*sums))),
         ("complement", step5),
         ("unwind", step6),
         ("uncomplement", step7),

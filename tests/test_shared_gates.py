@@ -29,7 +29,10 @@ from qadd import (
     x,
 )
 from qadd.blocked import (
+    _carry,
+    _tree_backwards,
     carry_gates,
+    carry_tree_scratch_count,
     combined_wire_plan,
     init_gates,
     prefix_and_ladder_gates,
@@ -133,6 +136,19 @@ def reference_carry(g_wires, p_wires, scratch):
     return gates
 
 
+def reference_tree_backwards(carry, zero):
+    """The carry tree run backwards as a data-flow filter: a gate is kept
+    unless a control is known to be 0, and a kept gate's targets are no
+    longer known to be 0.  ``zero`` is the wires at 0 when it starts."""
+    zero = set(zero)
+    kept = []
+    for gate in reversed(carry):
+        if zero.isdisjoint(gate.controls):
+            kept.append(gate)
+            zero.difference_update(gate.targets)
+    return kept
+
+
 @functools.lru_cache(maxsize=None)
 def reference_combined_sections(n, k):
     """The combined adder's sections, each block's INIT and SUM built on its
@@ -168,11 +184,7 @@ def reference_combined_sections(n, k):
     step5 = [x(b[i]) for i in range(n - k)]
 
     step6 = [g for tail in tails[:-1] for g in tail]
-    zero = {p_slots[-1], *plan["scratch"]}
-    for gate in reversed(carry):
-        if zero.isdisjoint(gate.controls):
-            step6.append(gate)
-            zero.difference_update(gate.targets)
+    step6 += reference_tree_backwards(carry, {p_slots[-1], *plan["scratch"]})
     step6 += [g for block in reversed(blocks[:-1]) for g in reversed(block)]
 
     return [
@@ -273,6 +285,24 @@ def test_carry_tree_matches_its_step_by_step_reference(m):
     # each product's uncompute is its compute gate again
     objects, values = objects_and_values(gates)
     assert objects == values
+
+
+@pytest.mark.parametrize("m", [1 << e for e in range(2, 13)])
+def test_unwound_tree_matches_the_known_zero_filter(m):
+    # the unwind's tree, built from the level families, against the filter
+    # over the step-by-step tree with the top propagate and the scratch at 0
+    g_wires = list(range(m))
+    p_wires = [None, *range(m, 2 * m - 1)]
+    scratch = list(range(2 * m - 1, 2 * m - 1 + carry_tree_scratch_count(m, 1)))
+    up, down, undo = _carry(g_wires, p_wires, scratch)
+    unwound = _tree_backwards(up, down)
+    tree = reference_carry(g_wires, p_wires, scratch)
+    assert unwound == reference_tree_backwards(tree, {p_wires[-1], *scratch})
+    # each level's product over the top interval, computed and uncomputed,
+    # and each level's combine into the top slot are left out
+    assert len(tree) - len(unwound) == 3 * (m.bit_length() - 1) - 2
+    # it runs the tree's own gate objects
+    assert set(map(id, unwound)) <= set(map(id, chain(*up, down, undo)))
 
 
 def _assert_sections_match_the_reference(params):
