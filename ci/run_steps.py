@@ -1,18 +1,24 @@
-"""Run the CI workflow's scripted steps, as CI runs them.
+"""Run the repository's CI step files, as CI runs them.
 
     python ci/run_steps.py [STEP.sh ...]
 
-With no arguments it runs every file of ``ci/steps/`` in name order, which is
-the order of the steps in ``.github/workflows/tier1.yml``.  Each file runs
-under ``bash`` from the repository root with a fresh ``RUNNER_TEMP``, ``src``
-on ``PYTHONPATH``, ``python`` and ``python3`` resolving to this
-interpreter, and ``qadd`` to a shim that runs ``python -m qadd.cli`` on
-``src``, so the steps run the checkout, installed or not.
+With no arguments it runs every file of ``ci/steps/`` in name order, then
+every file of ``ci/slow/``.  Tier-1 runs ``ci/steps/``; CI runs ``ci/slow/``
+after the tests: the two cap-sized seeded checks there take about 3 s and up
+to about 460 MB each, and the four benchmark workloads about 4 s each.  Each
+file runs under ``bash`` from the repository root with a fresh
+``RUNNER_TEMP``, ``src`` on ``PYTHONPATH``, ``python`` and ``python3``
+resolving to this interpreter, and ``qadd`` to a shim that runs
+``python -m qadd.cli`` on ``src``, so the steps run the checkout, installed
+or not.
 
 It prints one line per step (ok or FAIL, seconds, file) and a failing step's
 output, stops a step after 600 s as a failure, and exits 1 if any step failed.
+However a step ends, its process group is killed, also when the runner is
+interrupted or sent SIGTERM.
 """
 
+import contextlib
 import os
 import shlex
 import signal
@@ -23,7 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STEPS = ROOT / "ci" / "steps"
+STEP_DIRS = [ROOT / "ci" / "steps", ROOT / "ci" / "slow"]
 STEP_TIMEOUT_S = 600
 
 
@@ -32,27 +38,36 @@ def _shim(path, command):
     path.chmod(0o755)
 
 
+def _kill_group(proc):
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
 def _run(step, env):
     """Run one step file; return (ok, its output)."""
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         ["bash", str(step)],
         cwd=ROOT,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         start_new_session=True,
-    )
-    try:
-        out, _ = proc.communicate(timeout=STEP_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        out, _ = proc.communicate()
-        out += f"stopped after {STEP_TIMEOUT_S} s\n".encode()
+    ) as proc:
+        try:
+            out, _ = proc.communicate(timeout=STEP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            _kill_group(proc)
+            out, _ = proc.communicate()
+            out += f"stopped after {STEP_TIMEOUT_S} s\n".encode()
+        finally:
+            _kill_group(proc)
     return proc.returncode == 0, out.decode(errors="replace")
 
 
 def main(argv):
-    steps = [Path(arg).resolve() for arg in argv] or sorted(STEPS.glob("*.sh"))
+    steps = [Path(arg).resolve() for arg in argv] or [
+        step for step_dir in STEP_DIRS for step in sorted(step_dir.glob("*.sh"))
+    ]
     failed = False
     with tempfile.TemporaryDirectory(prefix="qadd-ci-") as tmp:
         bin_dir = Path(tmp, "bin")
@@ -80,4 +95,7 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # SIGTERM unwinds like an interrupt, so each step's group is killed and
+    # the temporary directory removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main(sys.argv[1:]))

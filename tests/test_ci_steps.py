@@ -1,17 +1,22 @@
-"""The CI workflow's scripted steps, run in tier-1 through ``ci/run_steps.py``.
+"""The CI step files, run in tier-1 through ``ci/run_steps.py``.
 
-Each scripted step of ``.github/workflows/tier1.yml`` is one file of
-``ci/steps/``, and the workflow only names it.  Tier-1 runs every file through
-the same runner a developer uses, except the few that only CI runs, so a
-broken step shows up here and not only in CI.  Each golden-netlist line
-``qadd synth ... | cmp - tests/data/*.qn`` also runs through
-``qadd.cli.dispatch``, which checks that it writes nothing to stderr, and
-every ``--kind`` must have such a line.
+Each scripted CI check is one file: the fast ones in ``ci/steps/``, which
+tier-1 runs here through the same runner a developer uses, so a broken step
+shows up here and not only in CI, and the slow ones in ``ci/slow/``, which
+CI runs through the runner after the tests.  CI also runs the
+``ci/steps/*-golden-*.sh`` files through the installed ``qadd`` console
+script.  Each of their lines ``qadd synth ... | cmp - tests/data/*.qn`` also
+runs through ``qadd.cli.dispatch``, which checks that it writes nothing to
+stderr, and every ``--kind`` must have such a line.
 """
 
+import contextlib
+import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,32 +24,19 @@ import pytest
 import qadd.cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 RUNNER = ROOT / "ci" / "run_steps.py"
 STEP_FILES = sorted((ROOT / "ci" / "steps").glob("*.sh"))
+SLOW_STEP_FILES = sorted((ROOT / "ci" / "slow").glob("*.sh"))
 HEADER = "set -eo pipefail\n"
 
-# The steps that only CI runs: the two cap-sized seeded checks take about 3 s
-# and up to about 460 MB each, and the four benchmark workloads about 4 s each.
-CI_ONLY = {
-    "19-seeded-cap-64-chunks.sh",
-    "20-seeded-cap-7-wires.sh",
-    "24-bench-synth-sweep.sh",
-    "25-bench-netlist-roundtrip.sh",
-    "26-bench-verify-exhaustive.sh",
-    "27-bench-verify-random.sh",
-}
-FAST_STEPS = [s for s in STEP_FILES if s.name not in CI_ONLY]
-# The workflow steps that keep their command inline.
-INLINE = ["Install the test extra", "Tier-1 tests"]
 
-
-def _runner(steps):
+def _runner(steps, **popen_args):
     return subprocess.Popen(
         [sys.executable, str(RUNNER), *map(str, steps)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        **popen_args,
     )
 
 
@@ -65,15 +57,16 @@ def fast_steps():
     """The runner's output on every step that tier-1 runs.  Two runners take
     alternate steps at once, which halves the wait.  No timeout here: the
     runner stops a hung step itself, and kills its process group."""
-    runners = [_runner(FAST_STEPS[i::2]) for i in range(2)]
+    runners = [_runner(STEP_FILES[i::2]) for i in range(2)]
     return "".join(runner.communicate()[0] for runner in runners)
 
 
 def _golden_steps():
-    """The ``(argv, golden file)`` of each step line
-    ``qadd synth --kind K ... | cmp - tests/data/*.qn``."""
+    """The ``(argv, golden file)`` of each line
+    ``qadd synth --kind K ... | cmp - tests/data/*.qn`` of the golden step
+    files, the ones CI runs through the installed console script."""
     steps = []
-    for step in STEP_FILES:
+    for step in sorted((ROOT / "ci" / "steps").glob("*-golden-*.sh")):
         for line in step.read_text().splitlines():
             command, sep, golden = line.partition(" | cmp - tests/data/")
             if sep and command.startswith("qadd synth ") and golden.endswith(".qn"):
@@ -88,38 +81,15 @@ def _kind(argv):
 GOLDEN_STEPS = _golden_steps()
 
 
-def _workflow_steps():
-    """The ``(name, run)`` of each step of the workflow, in order."""
-    steps = []
-    for line in WORKFLOW.read_text().splitlines():
-        text = line.strip()
-        if text.startswith("- "):
-            steps.append({})
-            text = text[2:]
-        key, sep, value = text.partition(": ")
-        if steps and sep and key in ("name", "run"):
-            steps[-1][key] = value
-    return [(step.get("name"), step.get("run")) for step in steps]
-
-
-@pytest.mark.parametrize("step", FAST_STEPS, ids=lambda s: s.name)
+@pytest.mark.parametrize("step", STEP_FILES, ids=lambda s: s.name)
 def test_step_passes_through_the_runner(fast_steps, step):
     report = _reports(fast_steps).get(step.name, fast_steps)
     assert report.startswith("ok "), report
 
 
-def test_workflow_runs_each_step_file_once_in_order():
-    steps = _workflow_steps()
-    names = [name for name, _ in steps if name]
-    assert len(names) == len(set(names)) == len(STEP_FILES) + len(INLINE)
-    scripted = [run for name, run in steps if run and name not in INLINE]
-    assert scripted == [f"bash ci/steps/{s.name}" for s in STEP_FILES]
-    assert [name for name, run in steps if run and name in INLINE] == INLINE
-    assert CI_ONLY <= {s.name for s in STEP_FILES}
-
-
 def test_every_step_file_opens_with_pipefail():
-    assert [s.name for s in STEP_FILES if not s.read_text().startswith(HEADER)] == []
+    steps = STEP_FILES + SLOW_STEP_FILES
+    assert [s.name for s in steps if not s.read_text().startswith(HEADER)] == []
 
 
 @pytest.mark.parametrize(
@@ -158,3 +128,50 @@ def test_runner_reports_each_failing_step(tmp_path):
         ("c-pass.sh", "ok"),
     ], output
     assert runner.returncode == 1
+
+
+def _wait_until(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+def _live_group(pgid):
+    """The PIDs of the processes in group ``pgid`` that have not exited."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):  # the process exited meanwhile
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+            if state not in ("Z", "X") and int(group) == pgid:
+                live.append(int(stat.parent.name))
+    return live
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_stopping_the_runner_kills_its_step(tmp_path, signum):
+    started = tmp_path / "started"
+    quoted = shlex.quote(str(started))
+    step = tmp_path / "sleep.sh"
+    step.write_text(
+        HEADER
+        + f'echo "$$ $RUNNER_TEMP" > {quoted}.part\n'
+        + f"mv {quoted}.part {quoted}\n"
+        + "sleep 30\n"
+    )
+    # a runner started with SIGINT ignored, as in a background job, would
+    # never see the interrupt
+    runner = _runner([step], preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    _wait_until(lambda: started.exists() or runner.poll() is not None, 30)
+    assert started.exists(), runner.communicate()[0]
+    pid, runner_temp = started.read_text().split()
+    try:
+        runner.send_signal(signum)
+        output = runner.communicate(timeout=60)[0]
+        # the step's bash is its group's leader, so its PID is the group's
+        assert _wait_until(lambda: not _live_group(int(pid)), 10), output
+        assert not Path(runner_temp).exists(), output
+        assert runner.returncode != 0
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(int(pid), signal.SIGKILL)
