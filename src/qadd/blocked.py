@@ -423,13 +423,33 @@ def combined_wire_plan(params: BlockParams) -> dict[str, object]:
     }
 
 
+def combined_closed_forms(params: BlockParams) -> dict[str, int]:
+    """Exact statistics of ``synth_combined(params)``, keyed as in
+    ``CircuitStats.to_json_dict``, for m = n/k blocks.  The depths' constants
+    were measured, and differ at m = 4; no count needs the circuit built."""
+    if not isinstance(params, BlockParams):
+        raise TypeError(f"expected a BlockParams, got {type(params).__name__}")
+    n, k, m = params.n, params.k, params.blocks
+    log_m = m.bit_length() - 1
+    return {
+        "depth": 17 * k + 4 * log_m - (3 if m == 4 else 1),
+        "toffoli_depth": 14 * k + 4 * log_m - (13 if m == 4 else 11),
+        "size": 21 * n + 5 * m - 16 * k - 9 * log_m - 9,
+        "count_not": 2 * n - 2 * k,
+        "count_cnot": 5 * n + 9 * m - 16,
+        "count_toffoli": 14 * n - 4 * m - 14 * k - 9 * log_m + 7,
+        "ancilla_count": 3 * m - log_m - 3,
+    }
+
+
 @_collector_paused
 def synth_combined(params: BlockParams) -> Circuit:
     """Full combined adder for ADD_n; same in/out contract as the ripple adder.
 
     Ancillae, for m = n/k blocks: m-1 generate slots G0..G{m-2}, m-1
-    propagate slots P1..P{m-1}, and the carry tree's scratch wires,
-    3n/k - log2(n/k) - 3 in total, all restored to 0.
+    propagate slots P1..P{m-1}, and the carry tree's scratch wires, all
+    restored to 0; ``combined_closed_forms`` states their count with the
+    circuit's other exact statistics.
     """
     plan = combined_wire_plan(params)
     registers, named = ripple_roles(*ripple_wires(params.n))  # the data wires as in the ripple adder

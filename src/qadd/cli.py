@@ -14,7 +14,7 @@ import json
 import sys
 from collections import namedtuple
 
-from .blocked import BlockParams, synth_combined
+from .blocked import BlockParams, combined_closed_forms, synth_combined
 from .circuit import WIRE_CAP, Circuit, _check_size, compute_stats
 from .estimator import fanout_adder_cost, shor_dlog_estimate
 from .fanout import synth_fanout_tree
@@ -35,8 +35,10 @@ EXHAUSTIVE_DEFAULT_LIMIT = 20
 #: One record per ``--kind``, in the order ``--kind`` lists them: the flags it
 #: requires (it refuses every other kind flag) and, from the parsed flags, its
 #: data-wire count, its circuit, its ``(per_case, packed)`` oracle pair and its
-#: closed forms, or ``None``.  The entries look their functions up in this
-#: module when they run, so a name rebound here (by a test or a tracer) is used.
+#: closed forms, which ``stats`` checks.  An adder kind states its closed forms;
+#: a kind without them (and ripple below n = 3) gives ``None``.  The entries
+#: look their functions up in this module when they run, so a name rebound
+#: here (by a test or a tracer) is used.
 _Kind = namedtuple("_Kind", "flags wires build oracle closed_forms")
 _KINDS = {
     "ripple": _Kind(
@@ -51,7 +53,7 @@ _KINDS = {
         lambda args: 2 * args.n + 1,
         lambda args: synth_combined(BlockParams(args.n, args.d)),
         lambda args, circuit: adder_oracle(circuit),
-        lambda args: None,
+        lambda args: combined_closed_forms(BlockParams(args.n, args.d)),
     ),
     "fanout-tree": _Kind(
         ("t", "f"),
@@ -168,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _check_exhaustive_request(free)
     else:
         _check_random_request(args.trials, free, args.seed)
-    circuit = _build(args)
+    circuit = _KINDS[args.kind].build(args)
     _, packed = _KINDS[args.kind].oracle(args, circuit)
     if exhaustive:
         report: VerifyReport = verify_exhaustive(circuit, packed_oracle=packed)

@@ -25,8 +25,8 @@ from .ripple import ripple_closed_forms
 
 #: Committed additive constant for the combined adder's Toffoli-depth bound
 #: 14k + 4*log2(n/k) + C.  Every synthesized configuration measures exactly
-#: 14k + 4*log2(n/k) - 11 (-13 with n/k = 4 blocks), so the bound holds
-#: with C = 0.
+#: 14k + 4*log2(n/k) - 11 (-13 with n/k = 4 blocks), the ``toffoli_depth`` of
+#: ``blocked.combined_closed_forms``, so the bound holds with C = 0.
 COMBINED_DEPTH_CONSTANT = 0
 
 #: Committed multiplicative bounds for the combined adder (Toffoli-only
@@ -311,7 +311,8 @@ def shor_dlog_estimate(
     The two adder depths are different metrics, so the budgets do not
     compare: ripple's 5n-3 is the full depth, combined's 14k + 4*log2(n/k)
     bounds only the Toffoli depth.  At n = 16, d = 2 they give 19712 and
-    10240; the combined adder's measured full depth of 45 would give 11520.
+    10240; the combined adder's measured full depth of 45,
+    ``combined_closed_forms(BlockParams(16, 2))["depth"]``, would give 11520.
     """
     _check_pack(consts)
     _check_size("n", n, 4)

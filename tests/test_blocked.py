@@ -23,6 +23,7 @@ from qadd import (
 )
 from qadd.blocked import (
     carry_tree_scratch_count,
+    combined_closed_forms,
     combined_step_gates,
     combined_wire_plan,
     prefix_and_ladder_gates,
@@ -222,6 +223,25 @@ def test_combined_exact_resource_profile():
         assert st.depth == 17 * k + 4 * logm - (3 if m == 4 else 1)
         assert st.count_toffoli <= 14 * n
         assert st.count_gen_toffoli == 0 and st.count_fanout == 0
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(1 << j, 1 << i) for j in range(3, 11) for i in range(1, j - 1)] + [(4096, 2), (4096, 12)],
+)
+def test_combined_closed_forms_match_the_synthesized_stats(n, d):
+    # every power-of-two n up to 1024 with every block width k = d, and two
+    # wide shapes; d between k and 2k - 1 builds the same circuit
+    p = BlockParams(n, d)
+    forms = combined_closed_forms(p)
+    observed = compute_stats(synth_combined(p)).to_json_dict()
+    assert forms == {key: observed[key] for key in forms}
+    assert list(forms) == [key for key in observed if key in forms]  # in field order
+
+
+def test_combined_closed_forms_need_block_params():
+    with pytest.raises(TypeError, match="expected a BlockParams, got tuple"):
+        combined_closed_forms((8, 2))
 
 
 def test_combined_carry_slots_zero_after_unwind():

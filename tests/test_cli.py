@@ -5,6 +5,7 @@ import pytest
 
 import qadd.cli as cli
 from qadd import WIRE_CAP, parse_netlist, ripple_closed_forms, synth_ripple, verify_exhaustive
+from qadd.blocked import combined_closed_forms
 from qadd.cli import dispatch
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -316,6 +317,9 @@ KIND_NAMES = {
     "fanout-tree": ("synth_fanout_tree", "fanout_oracle"),
 }
 
+# The closed forms each adder kind's record calls for stats, by their names in cli.
+CLOSED_FORMS = {"ripple": "ripple_closed_forms", "combined": "combined_closed_forms"}
+
 
 @pytest.mark.parametrize("command", ["synth", "verify", "stats"])
 @pytest.mark.parametrize("kind", list(cli._KINDS))
@@ -327,8 +331,8 @@ def test_each_kind_looks_up_its_functions_when_it_runs(capsys, monkeypatch, comm
     names = [builder]
     if command == "verify":
         names.append(oracle)
-    if (kind, command) == ("ripple", "stats"):
-        names.append("ripple_closed_forms")
+    if command == "stats" and kind in CLOSED_FORMS:
+        names.append(CLOSED_FORMS[kind])
     calls = []
 
     def recorder(name):
@@ -423,3 +427,19 @@ def test_stats_reports_a_ripple_closed_form_mismatch(capsys, monkeypatch):
     assert code == 1
     assert "size 29" in out
     assert err == "closed-form mismatch: size = 29, expected 30\n"
+
+
+def test_stats_reports_a_combined_closed_form_mismatch(capsys, monkeypatch):
+    code, expected_out, _ = run_cli(capsys, "stats", "--kind", "combined", "--n", "8", "--d", "2")
+    assert code == 0
+
+    def off_by_one(params):
+        forms = combined_closed_forms(params)
+        forms["size"] += 1
+        return forms
+
+    monkeypatch.setattr(cli, "combined_closed_forms", off_by_one)
+    code, out, err = run_cli(capsys, "stats", "--kind", "combined", "--n", "8", "--d", "2")
+    assert code == 1
+    assert out == expected_out and "size 129" in out
+    assert err == "closed-form mismatch: size = 129, expected 130\n"

@@ -7,6 +7,7 @@ import pytest
 
 from qadd import (
     COMBINED_ANCILLA_FACTOR,
+    WIRE_CAP,
     BlockParams,
     ConstantPack,
     CostEstimate,
@@ -19,6 +20,7 @@ from qadd import (
     splitmix64,
     tt_cost,
 )
+from qadd.blocked import combined_closed_forms, combined_wire_plan
 
 
 def _log_star_reference(x):
@@ -164,6 +166,29 @@ def test_combined_adder_bounds_formulas():
     assert e.depth == 14 * 8 + 4 * math.log2(8)
     with pytest.raises(ValueError):
         combined_adder_bounds(64, 32)  # fewer than 4 blocks
+
+
+def test_combined_adder_bounds_hold_at_every_shape_the_wire_cap_admits():
+    # the committed bounds against the exact forms, with nothing built: every
+    # power-of-two n from 8 to 2**20 with every block width k, n/k >= 4, at
+    # both ends of each k's range of d
+    shapes = [
+        (1 << j, d)
+        for j in range(3, 21)
+        for i in range(1, j - 1)
+        for d in (1 << i, (2 << i) - 1)
+    ]
+    assert len(shapes) == 342
+    for n, d in shapes:
+        forms = combined_closed_forms(BlockParams(n, d))
+        assert 2 * n + 1 + forms["ancilla_count"] <= WIRE_CAP, (n, d)
+        bounds = combined_adder_bounds(n, d)
+        assert forms["ancilla_count"] <= bounds.ancilla, (n, d)
+        assert forms["count_toffoli"] <= bounds.size, (n, d)
+        assert forms["toffoli_depth"] <= bounds.depth, (n, d)
+    # and 2**20 is the widest: at 2**21 the 2n + 1 data wires alone pass the cap
+    with pytest.raises(ValueError, match="to the cap"):
+        combined_wire_plan(BlockParams(2**21, 2))
 
 
 def test_constant_pack():
