@@ -705,8 +705,32 @@ def _with_and_without_the_name_table(bad, wires=8):
         "cx 3 3",
         "x",
         "cx 007 1",  # accepted as wire 7
+        "ccx 1 1 2",
+        "ccx 1 2 1",
+        "ccx 2 1 1",
+        "cx 0 1 2",
+        "ccx 0 1",
+        "x 0 1",
+        "x 8",
+        "cx 0 1 #",
     ],
-    ids=["non-digit", "non-ascii-digit", "over-cap", "out-of-range", "duplicate", "bare-x", "007"],
+    ids=[
+        "non-digit",
+        "non-ascii-digit",
+        "over-cap",
+        "out-of-range",
+        "duplicate",
+        "bare-x",
+        "007",
+        "ccx-duplicate-controls",
+        "ccx-duplicate-first-and-target",
+        "ccx-duplicate-second-and-target",
+        "cx-three-ids",
+        "ccx-two-ids",
+        "x-two-ids",
+        "x-out-of-range",
+        "trailing-hash",
+    ],
 )
 def test_bad_gate_lines_read_alike_with_and_without_the_name_table(bad):
     texts = _with_and_without_the_name_table(bad)
@@ -724,3 +748,54 @@ def test_an_id_too_long_for_int_reads_alike_with_and_without_the_name_table():
     texts = _with_and_without_the_name_table("cx 0 " + "1" * 5000)
     with_table, without = map(_exact_outcome, texts)
     assert with_table == without == (3, 6, "wire id of 5000 digits is too long")
+
+
+def _padded(text):
+    """``text`` followed by one distinct ``x w`` line per wire, as
+    ``_with_and_without_the_name_table`` pads, so the parser reads the body
+    through its name table whenever the first ``qubits`` line names a count
+    up to 16: then the direct branches see the fuzzed gate lines."""
+    for line in text.split("\n")[1:]:
+        tokens = line.split()
+        if tokens[:1] == ["qubits"]:
+            count = tokens[1] if len(tokens) == 2 else ""
+            if count.isascii() and count.isdigit() and int(count) <= 16:
+                return text + "\n" + "".join(f"x {w}\n" for w in range(int(count)))
+            break
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_soup().map(_padded))
+def test_parser_matches_reference_on_token_soup_read_through_the_name_table(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_netlists().map(_padded))
+def test_parser_matches_reference_on_mutated_exports_read_through_the_name_table(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
+
+
+@st.composite
+def narrow_gate_lines(draw):
+    """Gate lines of every opcode on at most four wires: mostly of the
+    opcode's arity and in range, so duplicate operands are common, with an
+    id one past the last wire, ``007``, ``#`` or an arity off by one mixed
+    in; padded to a line per wire."""
+    wires = draw(st.integers(1, 4))
+    names = [str(w) for w in range(wires)]
+    tokens = st.sampled_from(names * 4 + [str(wires), "007", "#"])
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(OPCODES))
+        arity = {"x": 1, "cx": 2, "ccx": 3}.get(op, 3)
+        count = draw(st.sampled_from([arity] * 4 + [arity - 1, arity + 1]))
+        lines.append(" ".join([op, *draw(st.lists(tokens, min_size=count, max_size=count))]))
+    return _padded("\n".join([MAGIC, f"qubits {wires}", *lines, ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow_gate_lines())
+def test_parser_matches_reference_on_narrow_gate_lines_read_through_the_name_table(text):
+    assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
