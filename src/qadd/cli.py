@@ -155,6 +155,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Write a command's result: ``payload`` as JSON under ``--json``, else
+    ``lines`` as text, to ``-o FILE`` or stdout."""
+    text = _json_text(payload) if args.json else "\n".join(lines) + "\n"
+    _emit(text, args.output)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     _emit(export_netlist(_build(args)), args.output)
     return 0
@@ -180,16 +187,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             circuit, packed_oracle=packed, trials=args.trials, seed=args.seed
         )
         mode = "random"
-    if args.json:
-        _emit(_json_text(report.to_json_dict()), args.output)
-    else:
-        seed = report.seed if report.seed is not None else "-"
-        _emit(
-            f"verify {args.kind} [{mode}]: cases {report.total_cases}  "
-            f"failures {len(report.failures)}  "
-            f"ancilla-violations {len(report.ancilla_violations)}  seed {seed}\n",
-            args.output,
-        )
+    seed = report.seed if report.seed is not None else "-"
+    line = (
+        f"verify {args.kind} [{mode}]: cases {report.total_cases}  "
+        f"failures {len(report.failures)}  "
+        f"ancilla-violations {len(report.ancilla_violations)}  seed {seed}"
+    )
+    _report(args, report.to_json_dict(), [line])
     return 0 if report.ok else 1
 
 
@@ -205,11 +209,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         circuit = _build(args)
         closed_forms = _KINDS[args.kind].closed_forms(args)
     observed = compute_stats(circuit).to_json_dict()
-    if args.json:
-        _emit(_json_text(observed), args.output)
-    else:
-        lines = [f"{key} {value}" for key, value in observed.items()]
-        _emit("\n".join(lines) + "\n", args.output)
+    _report(args, observed, [f"{key} {value}" for key, value in observed.items()])
     if closed_forms is not None:
         for key, expected in closed_forms.items():
             if observed[key] != expected:
@@ -232,15 +232,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         adder = args.adder or "ripple"
         estimate = shor_dlog_estimate(args.n, adder=adder, d=args.d, e=args.e, f=args.f)
-    if args.json:
-        _emit(_json_text(estimate.to_json_dict()), args.output)
-    else:
-        payload = estimate.to_json_dict()
-        lines = [f"formula {payload['formula_id']}"]
-        lines += [
-            f"{key} {payload[key]}" for key in ("qubits_total", "ancilla", "depth", "size")
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    payload = estimate.to_json_dict()
+    lines = [f"formula {payload['formula_id']}"]
+    lines += [f"{key} {payload[key]}" for key in ("qubits_total", "ancilla", "depth", "size")]
+    _report(args, payload, lines)
     return 0
 
 

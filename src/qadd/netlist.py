@@ -36,27 +36,25 @@ its line number is looked up only then.  The gates are then laid out in
 C from that table, so repeats share one immutable ``Gate`` and a repeated
 line costs no Python bytecode.
 
-Each direction has one name table, chosen by the same rule: it lists
-every wire only when the document has at least one line per wire, so it
-never outweighs those lines, and a wide circuit with few lines stays
-small.  Export writes every wire id from it, so each id's decimal text is
-made once per call, not once per occurrence; below the rule it is a dict
-that names each id on first use, so an export costs O(ids written), not
-O(wire count).  The parse reads a distinct gate line's ids through the
-inverse table, from each wire's decimal text to its id, which exists when
-the body has at least as many distinct lines as there are wires.  Through
-the table, a ``cx``, ``ccx`` or ``x`` line, the three shapes export writes
-with one f-string each, takes a direct branch: its ids are looked up and
-tested pairwise distinct, and its gate is built.  Every other line, every
-miss (a token the table lacks, such as a bad token, ``007`` or an id out
-of range, a duplicate operand or another arity) and every line below the
-rule takes the one checked path, so an error is named in one place only.
-Every distinct gate line of the benchmark's adders takes the branch: in
-process, ripple n = 4093 parsed in 27.6 ms instead of 38.4 and combined
-(4096, 12) in 52.2 ms instead of 69.3.  Role lines are written straight
-from the circuit's registers, one string per wire, in wire order.  CNOT,
-Toffoli and NOT lines are one f-string each and the variadic kinds one
-``join``.
+Each direction has one name table, kept no larger than the lines it
+serves, so a wide circuit with few lines stays small.  Export writes every
+wire id from it, so each id's decimal text is made once per call, not once
+per occurrence.  It lists every wire only when the document has at least
+one line per wire; below that rule it is a dict that names each id on
+first use, so an export costs O(ids written), not O(wire count).  The
+parse reads every distinct gate line's ids through one inverse table, from
+a wire's decimal text to its id.  The first ``min(wire count, distinct
+lines)`` wires are named in C up front, and any other token that names a
+wire, such as ``007`` or a wire past those, is added on first use.
+Through the table, a ``cx``, ``ccx`` or ``x`` line, the three shapes
+export writes with one f-string each, takes a direct branch: its ids are
+looked up and tested pairwise distinct, and its gate is built.  Every
+other line and every miss (a token that names no wire, such as a bad
+token or an id out of range, a duplicate operand or another arity) takes
+the one checked path, so an error is named in one place only.  Export
+writes the role lines straight from the circuit's registers, one string
+per wire, in wire order; CNOT, Toffoli and NOT lines are one f-string each
+and the variadic kinds one ``join``.
 """
 
 from __future__ import annotations
@@ -100,6 +98,31 @@ class _Names(dict):
     def __missing__(self, wire: int) -> str:
         name = self[wire] = str(wire)
         return name
+
+
+class _Ids(dict):
+    """Wire name -> id: the parse's name table, the inverse of ``_Names``.
+    The first ``prefill`` wires are named in C; any other token that names
+    a wire (ASCII digits that ``int`` reads, leading zeros allowed, below
+    the wire count) is added on first use, and every other token is a
+    ``KeyError``."""
+
+    __slots__ = ("wire_count",)
+
+    def __init__(self, wire_count: int, prefill: int) -> None:
+        super().__init__(zip(map(str, range(prefill)), range(prefill)))
+        self.wire_count = wire_count
+
+    def __missing__(self, name: str) -> int:
+        if name.isascii() and name.isdigit():
+            try:
+                wire = int(name)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise KeyError(name) from None
+            if wire < self.wire_count:
+                self[name] = wire
+                return wire
+        raise KeyError(name)
 
 
 def export_netlist(circuit: Circuit) -> str:
@@ -257,14 +280,11 @@ def parse_netlist(text: str) -> Circuit:
     # once, in order of first occurrence, which makes the first bad line the
     # one that raises; its line number is looked up only then.
     body = dict.fromkeys(islice(lines, start, None))
-    # Each wire's decimal text -> its id, the inverse of the export's name
-    # list and built by the same kind of rule: only when the body has at
-    # least as many distinct lines as there are wires, so the table never
-    # outweighs the lines held above.  Its hits share one int per wire.
-    if len(body) >= wire_count:
-        table = dict(zip(map(str, range(wire_count)), range(wire_count)))
-    else:
-        table = {}
+    # The parse's one name table: the first wires are named in C, at most
+    # one per distinct line, so the prefill never outweighs the lines held
+    # above; any other id is named on first use, one entry per distinct
+    # token.  Its hits share one int per name.
+    table = _Ids(wire_count, min(wire_count, len(body)))
     wire_of = table.__getitem__
     specs = _SPECS
     for raw in body:
@@ -272,49 +292,40 @@ def parse_netlist(text: str) -> Circuit:
         if not tokens:
             continue
         head = tokens[0]
-        # The three shapes export writes with one f-string each, read through
-        # the table: a hit is a valid gate, as the table holds only ids below
-        # the wire count.  Any miss (a token the table lacks, a duplicate
-        # operand, another arity or opcode) takes the checked path below,
-        # which alone names an error.
-        if table:
-            n = len(tokens)
-            try:
-                if head == "cx" and n == 3:
-                    c, t = wire_of(tokens[1]), wire_of(tokens[2])
-                    if c != t:
-                        body[raw] = _new(Gate, (_CNOT, (c,), (t,)))
-                        continue
-                elif head == "ccx" and n == 4:
-                    c1, c2, t = wire_of(tokens[1]), wire_of(tokens[2]), wire_of(tokens[3])
-                    if c1 != c2 and c1 != t and c2 != t:
-                        body[raw] = _new(Gate, (_TOFFOLI, (c1, c2), (t,)))
-                        continue
-                elif head == "x" and n == 2:
-                    body[raw] = _new(Gate, (_NOT, (), (wire_of(tokens[1]),)))
+        # The three shapes export writes with one f-string each: a hit is a
+        # valid gate, as the table holds only ids below the wire count.  Any
+        # miss (a token that names no wire, a duplicate operand, another
+        # arity or opcode) takes the checked path below, which alone names
+        # an error.
+        n = len(tokens)
+        try:
+            if head == "cx" and n == 3:
+                c, t = wire_of(tokens[1]), wire_of(tokens[2])
+                if c != t:
+                    body[raw] = _new(Gate, (_CNOT, (c,), (t,)))
                     continue
-            except KeyError:
-                pass
+            elif head == "ccx" and n == 4:
+                c1, c2, t = wire_of(tokens[1]), wire_of(tokens[2]), wire_of(tokens[3])
+                if c1 != c2 and c1 != t and c2 != t:
+                    body[raw] = _new(Gate, (_TOFFOLI, (c1, c2), (t,)))
+                    continue
+            elif head == "x" and n == 2:
+                body[raw] = _new(Gate, (_NOT, (), (wire_of(tokens[1]),)))
+                continue
+        except KeyError:
+            pass
         spec = specs.get(head)
         if spec is not None:
             del tokens[0]
             try:
-                ids = tuple(map(wire_of, tokens)) if table else ()
-            except KeyError:  # not a wire's name: a bad token, "007" or out of range
-                ids = ()
-            if not ids:  # each token as text, as without a table
-                digits = "".join(tokens)
-                try:
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ValueError(digits)
-                    ids = tuple(map(int, tokens))
-                except ValueError:  # a bad token, or one longer than int() reads
-                    lineno = lines.index(raw, start) + 1
-                    _int_tokens(tokens, lineno, raw, 1)  # raises at that token
-                    raise NetlistError(lineno, 1, f"{head} needs wire ids") from None
+                ids = tuple(map(wire_of, tokens))
+            except KeyError:  # a bad or over-long token, or an id out of range
+                ids = tuple(_int_tokens(tokens, lines.index(raw, start) + 1, raw, 1))
             kind, cut, count = spec
             n = len(ids)
-            if count is None and n < 2:
+            if not n:
+                reason = f"{head} needs wire ids"
+            elif count is None and n < 2:
                 reason = f"{head} takes at least 2 wire ids, got {n}"
             elif count is not None and n != count:
                 reason = f"{head} takes {count} wire ids, got {n}"

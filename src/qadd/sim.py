@@ -126,11 +126,15 @@ def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[i
     column only through ``^``, ``&`` and ``|``, the column list only
     through ``len``, ``list(...)`` and indexing, and builds the mask
     ``(1 << n_cases) - 1`` from the count alone, so it never tests a
-    column for truth or compares one."""
+    column for truth or compares one.  Each gate writes each of its
+    targets with exactly one ``^``, the target's column on its left, and
+    the writes come in gate order: a ``fo`` gate writes its targets one by
+    one, in the order it lists them.  Only NOT reads the mask, so it is
+    built where the first NOT needs it."""
     _check_size("n_cases", n_cases, 1)
     if len(columns) != circuit.wire_count:
         raise ValueError("column count must equal wire count")
-    mask = (1 << n_cases) - 1
+    mask = None
     cols = list(columns)
     for kind, controls, targets in circuit.gates:
         if kind is _CNOT:
@@ -139,14 +143,16 @@ def run_packed(circuit: Circuit, columns: Sequence[int], n_cases: int) -> list[i
             c1, c2 = controls
             cols[targets[0]] ^= cols[c1] & cols[c2]
         elif kind is _NOT:
+            if mask is None:
+                mask = (1 << n_cases) - 1
             cols[targets[0]] ^= mask
         elif kind is _FANOUT:
             src = cols[controls[0]]
             for t in targets:
                 cols[t] ^= src
         else:
-            acc = mask
-            for c in controls:
+            acc = cols[controls[0]]
+            for c in controls[1:]:
                 acc &= cols[c]
             cols[targets[0]] ^= acc
     return cols

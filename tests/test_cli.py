@@ -443,3 +443,45 @@ def test_stats_reports_a_combined_closed_form_mismatch(capsys, monkeypatch):
     assert code == 1
     assert out == expected_out and "size 129" in out
     assert err == "closed-form mismatch: size = 129, expected 130\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "ripple", "--n", "3"],
+        ["verify", "--kind", "ripple", "--n", "11", "--trials", "50", "--seed", "7"],
+        ["stats", "--kind", "combined", "--n", "8", "--d", "2"],
+        ["stats", "--kind", "fanout-tree", "--t", "9", "--f", "3"],
+        ["estimate", "--target", "adder-fanout", "--n", "64", "--e", "4", "--f", "4"],
+        ["estimate", "--target", "shor-dlog", "--n", "16", "--adder", "combined", "--d", "2"],
+    ],
+    ids=["verify-exhaustive", "verify-random", "stats-combined", "stats-fanout",
+         "estimate-adder-fanout", "estimate-shor-dlog"],
+)
+def test_output_file_holds_exactly_the_stdout_bytes(tmp_path, capsys, argv, json_flag):
+    code, out, err = run_cli(capsys, *argv, *json_flag)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, *json_flag, "-o", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+    if json_flag:
+        json.loads(out)
+    else:
+        assert not out.lstrip().startswith("{")
+
+
+def test_output_file_of_a_failing_check_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch):
+    def off_by_one(n):
+        forms = ripple_closed_forms(n)
+        forms["size"] += 1
+        return forms
+
+    monkeypatch.setattr(cli, "ripple_closed_forms", off_by_one)
+    for json_flag in ([], ["--json"]):
+        argv = ["stats", "--kind", "ripple", "--n", "5", *json_flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "closed-form mismatch: size = 29, expected 30\n"
+        path = tmp_path / f"out{len(json_flag)}"
+        assert run_cli(capsys, *argv, "-o", str(path)) == (1, "", err)
+        assert path.read_bytes() == out.encode()

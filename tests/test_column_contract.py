@@ -6,6 +6,7 @@ import pytest
 
 from qadd import (
     BlockParams,
+    parse_netlist,
     Circuit,
     adder_first_half_gates,
     ccx,
@@ -132,3 +133,52 @@ def test_run_packed_keeps_the_column_contract(circuit):
     cols = _columns(circuit.wire_count, 2026)
     wrapped = run_packed(circuit, list(map(Column, cols)), N_CASES)
     assert _unwrapped(wrapped) == run_packed(circuit, cols, N_CASES)
+
+
+class LoggedColumn:
+    """A column that knows its wire and logs that wire on each ``^`` it is
+    the left operand of: the kernel's target writes, in order."""
+
+    __slots__ = ("wire", "value", "log")
+
+    def __init__(self, wire, value, log):
+        self.wire, self.value, self.log = wire, value, log
+
+    def __xor__(self, other):
+        self.log.append(self.wire)
+        return LoggedColumn(self.wire, self.value ^ _logged_plain(other), self.log)
+
+    def __and__(self, other):
+        return LoggedColumn(None, self.value & _logged_plain(other), self.log)
+
+    def __or__(self, other):
+        return LoggedColumn(None, self.value | _logged_plain(other), self.log)
+
+    __rxor__, __rand__, __ror__ = __xor__, __and__, __or__
+
+
+def _logged_plain(v):
+    return v.value if isinstance(v, LoggedColumn) else v
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        synth_ripple(8),
+        synth_combined(BlockParams(16, 2)),
+        synth_fanout_tree(0, range(1, 12), 3),
+        parse_netlist(
+            "qadd 1\nqubits 7\nancilla 6\nx 0\ncx 0 1\nccx 0 1 2\nfo 2 5 3 4\n"
+            "tg 4 0 3 6\ntg 5 1\nx 6\nfo 1 0\n"
+        ),
+    ],
+    ids=["ripple-8", "combined-16-2", "fanout-tree", "parsed-every-kind"],
+)
+def test_run_packed_writes_each_target_with_one_xor_in_gate_order(circuit):
+    log = []
+    cols = _columns(circuit.wire_count, 44)
+    logged = [LoggedColumn(w, v, log) for w, v in enumerate(cols)]
+    out = run_packed(circuit, logged, N_CASES)
+    assert log == [t for gate in circuit.gates for t in gate.targets]
+    assert [col.wire for col in out] == list(range(circuit.wire_count))
+    assert [col.value for col in out] == run_packed(circuit, cols, N_CASES)

@@ -673,9 +673,11 @@ def test_parse_returns_a_round_tripping_circuit_or_raises_netlist_error(text):
 
 # --- the wire-name table ------------------------------------------------------
 #
-# A body with at least as many distinct lines as wires reads its ids through a
-# table of the wires' names; a token the table lacks, and every token of a
-# smaller body, is read as text.  Both must give the same outcome.
+# Every body reads its ids through one table of the wires' names.  In a dense
+# body, with at least as many distinct lines as wires, every wire's decimal
+# name is in the table before the first line is read; in a sparse body only
+# as many wires as it has distinct lines are, and any other id, like every
+# zero-padded one, is added on first use.  Both must give the same outcome.
 
 
 def _exact_outcome(text):
@@ -685,9 +687,9 @@ def _exact_outcome(text):
         return (err.line, err.column, err.reason)
 
 
-def _with_and_without_the_name_table(bad, wires=8):
-    """``bad`` as the first gate line, followed by a distinct line per wire
-    or by one line only."""
+def _dense_and_sparse(bad, wires=8):
+    """``bad`` (one line or several) first in the body, followed by a
+    distinct line per wire or by one line only."""
     head = f"qadd 1\nqubits {wires}\n{bad}\n"
     padded = head + "".join(f"x {w}\n" for w in range(wires))
     short = head + "x 0\n"
@@ -732,29 +734,69 @@ def _with_and_without_the_name_table(bad, wires=8):
         "trailing-hash",
     ],
 )
-def test_bad_gate_lines_read_alike_with_and_without_the_name_table(bad):
-    texts = _with_and_without_the_name_table(bad)
+def test_bad_gate_lines_read_alike_in_dense_and_sparse_documents(bad):
+    texts = _dense_and_sparse(bad)
     if bad == "cx 007 1":
         assert [parse_netlist(text).gates[0] for text in texts] == [cx(7, 1)] * 2
     else:
-        with_table, without = map(_exact_outcome, texts)
-        assert with_table == without and without[0] == 3
+        dense, sparse = map(_exact_outcome, texts)
+        assert dense == sparse and sparse[0] == 3
     for text in texts:
         assert _outcome(parse_netlist, text) == _outcome(reference_parse_netlist, text)
 
 
-def test_an_id_too_long_for_int_reads_alike_with_and_without_the_name_table():
+def test_an_id_too_long_for_int_reads_alike_in_dense_and_sparse_documents():
     # the reference parser lets int()'s ValueError escape here
-    texts = _with_and_without_the_name_table("cx 0 " + "1" * 5000)
-    with_table, without = map(_exact_outcome, texts)
-    assert with_table == without == (3, 6, "wire id of 5000 digits is too long")
+    texts = _dense_and_sparse("cx 0 " + "1" * 5000)
+    dense, sparse = map(_exact_outcome, texts)
+    assert dense == sparse == (3, 6, "wire id of 5000 digits is too long")
+
+
+DENSITIES = pytest.mark.parametrize("density", [0, 1], ids=["dense", "sparse"])
+
+
+@DENSITIES
+def test_zero_padded_ids_read_as_their_values(density):
+    # in the sparse body only wires 0-5 are named up front: every other id,
+    # and every zero-padded spelling, is named on first use
+    lines = "tg 01 007 00000003 12\ncx 007 00000012\nx 01\ncx 007 01"
+    text = _dense_and_sparse(lines, wires=16)[density]
+    assert parse_netlist(text).gates[:4] == [tg([1, 7, 3], 12), cx(7, 12), x(1), cx(7, 1)]
+
+
+@DENSITIES
+@pytest.mark.parametrize(
+    "line,column", [("cx 1 {}", 6), ("x {}", 3), ("tg 2 {} 1", 6)], ids=["cx", "x", "tg"]
+)
+def test_a_zero_padded_id_too_long_for_int_is_refused(density, line, column):
+    # int() counts the leading zeros against its digit limit
+    text = _dense_and_sparse(line.format("0" * 5000 + "1"), wires=16)[density]
+    assert _exact_outcome(text) == (3, column, "wire id of 5001 digits is too long")
+
+
+@DENSITIES
+@pytest.mark.parametrize(
+    "line,column,reason",
+    [
+        ("cx 0 16", 1, "gate operand 16 out of range for 16 wires"),
+        ("cx 0 0016", 1, "gate operand 16 out of range for 16 wires"),
+        ("tg 15 9 99", 1, "gate operand 99 out of range for 16 wires"),
+        ("ccx 1 q 2", 7, "expected wire id, got 'q'"),
+        ("x 1x", 3, "expected wire id, got '1x'"),
+        ("ccx 01 1 2", 1, "ccx: duplicate operand wire in (1, 1, 2)"),
+        ("fo 3 0003", 1, "fo: duplicate operand wire in (3, 3)"),
+        ("ccx 16 16 2", 1, "ccx: duplicate operand wire in (16, 16, 2)"),
+    ],
+)
+def test_bad_ids_keep_their_messages(density, line, column, reason):
+    assert _exact_outcome(_dense_and_sparse(line, wires=16)[density]) == (3, column, reason)
 
 
 def _padded(text):
     """``text`` followed by one distinct ``x w`` line per wire, as
-    ``_with_and_without_the_name_table`` pads, so the parser reads the body
-    through its name table whenever the first ``qubits`` line names a count
-    up to 16: then the direct branches see the fuzzed gate lines."""
+    ``_dense_and_sparse`` pads, so the body is dense whenever the first
+    ``qubits`` line names a count up to 16: then every wire is named before
+    the fuzzed gate lines are read."""
     for line in text.split("\n")[1:]:
         tokens = line.split()
         if tokens[:1] == ["qubits"]:
